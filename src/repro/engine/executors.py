@@ -60,27 +60,29 @@ _TRACES_MAX = 16
 #: same deterministic trace twice, which beats serializing generation.
 _MEMO_LOCK = threading.Lock()
 
-#: Per-process memo of sampled Monte-Carlo die blocks (effective-sigma
-#: + IS log-weight arrays), keyed by the hashable ``DieBlock`` recipe.
-#: A campaign
-#: evaluates every block at every (Vcc, scheme) grid point; memoizing
-#: the sampled block makes the (scalar, sha256-seeded) sampling run
-#: once per block instead of once per job.  The bound holds every block
-#: of a 1M-die campaign at the default block size.
-_BLOCK_SAMPLES: OrderedDict = OrderedDict()
-_BLOCK_SAMPLES_MAX = 256
+#: Per-process memo of Monte-Carlo die-block draws (``BlockDraws``),
+#: keyed by ``DieBlock.draw_key`` — seed, die sigma, arrays and die
+#: range, the only inputs the RNG draws depend on.  A campaign
+#: evaluates every block at every (Vcc, scheme) grid point, and
+#: campaigns that differ only in how the draws are interpreted (proposal
+#: shift, cell sigma, design margin, binning floor) share them too, so
+#: the (scalar, sha256-seeded) sampling runs once per draw identity
+#: instead of once per job.  The bound holds every block of a 1M-die
+#: campaign at the default block size.
+_BLOCK_DRAWS: OrderedDict = OrderedDict()
+_BLOCK_DRAWS_MAX = 256
 
 
-def _memoized_build(store: OrderedDict, limit: int, spec):
-    """Bounded-LRU memo over deterministic ``spec.build()`` results."""
+def _memoized(store: OrderedDict, limit: int, key, build):
+    """Bounded-LRU memo over the deterministic ``build()`` for ``key``."""
     with _MEMO_LOCK:
-        value = store.get(spec)
+        value = store.get(key)
         if value is not None:
-            store.move_to_end(spec)
+            store.move_to_end(key)
             return value
-    value = spec.build()
+    value = build()
     with _MEMO_LOCK:
-        store[spec] = value
+        store[key] = value
         while len(store) > limit:
             store.popitem(last=False)
     return value
@@ -88,12 +90,12 @@ def _memoized_build(store: OrderedDict, limit: int, spec):
 
 def population_for(spec: TracePopulationSpec) -> list[Trace]:
     """The (per-process memoized) trace population of ``spec``."""
-    return _memoized_build(_POPULATIONS, _POPULATIONS_MAX, spec)
+    return _memoized(_POPULATIONS, _POPULATIONS_MAX, spec, spec.build)
 
 
 def trace_for(spec: TraceSpec) -> Trace:
     """The (per-process memoized) single trace of ``spec``."""
-    return _memoized_build(_TRACES, _TRACES_MAX, spec)
+    return _memoized(_TRACES, _TRACES_MAX, spec, spec.build)
 
 
 def warm_caches(memory: MemorySystem, trace: Trace) -> None:
@@ -273,9 +275,9 @@ def _run_mc_block(job: Job):
     The block's die range (``die_start``/``dies``) and the campaign's
     physics config ride in the job options — and therefore in the
     canonical key — so a block is an independently cacheable, dedupable
-    unit exactly like a single die.  The sampled block itself (die
-    draws are Vcc-independent) is memoized per process and shared
-    across the whole grid.
+    unit exactly like a single die.  The block's draws (Vcc-independent)
+    are memoized per process under their draw identity and shared
+    across the whole grid and every campaign drawing the same dies.
     """
     # Lazy import: repro.montecarlo sits beside the engine in layering.
     from repro.montecarlo.sampling import DieBlock, evaluate_block
@@ -287,10 +289,12 @@ def _run_mc_block(job: Job):
         raise ConfigError("mc-block job needs 'mc' config and "
                           "'die_start'/'dies' options")
     block = DieBlock(config, int(die_start), int(dies))
-    sample = _memoized_build(_BLOCK_SAMPLES, _BLOCK_SAMPLES_MAX, block)
+    draws = _memoized(_BLOCK_DRAWS, _BLOCK_DRAWS_MAX, block.draw_key,
+                      block.build)
     return evaluate_block(config, block.die_start, block.dies,
                           job.vcc_mv, ClockScheme(job.scheme),
-                          solver=_solver_for(job), sample=sample)
+                          solver=_solver_for(job),
+                          sample=draws.sample(config))
 
 
 def _crash(job: Job):

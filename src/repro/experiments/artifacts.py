@@ -273,9 +273,11 @@ def _montecarlo_rows(experiment, reducer):
     Shared adapter for the ``yield_curve``, ``vccmin_dist`` and
     ``deep_tail`` builds: :meth:`Experiment.mc_results` memoizes the
     resolved batch, so the builds only stream the reduction — no job
-    rebuilding, no re-submission.
+    rebuilding, no re-submission — and ``yield_curve`` reuses the
+    reduction the ``mc-yield`` records already made
+    (:meth:`Experiment.mc_yield_rows`).
     """
-    from repro.montecarlo.campaign import vccmin_rows, yield_curve_rows
+    from repro.montecarlo.campaign import vccmin_rows
     from repro.montecarlo.importance import deep_tail_rows
 
     spec = experiment.spec
@@ -283,11 +285,10 @@ def _montecarlo_rows(experiment, reducer):
     if mc is None:
         raise ConfigError("the montecarlo artifacts need a [montecarlo] "
                           "spec section")
+    if reducer == "yield_curve":
+        return experiment.mc_yield_rows()
     results = experiment.mc_results()
     grid, schemes = spec.grid(), spec.schemes
-    if reducer == "yield_curve":
-        return yield_curve_rows(results, grid, schemes, mc.dies,
-                                mc.confidence, importance=mc.importance)
     if reducer == "deep_tail":
         return deep_tail_rows(results, grid, schemes, mc.dies,
                               mc.importance, mc.confidence)

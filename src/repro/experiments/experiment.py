@@ -49,6 +49,7 @@ class Experiment:
         self.runner = runner or ParallelRunner()
         self._sweep: VccSweep | None = None
         self._mc_resolved: list | None = None
+        self._mc_yield_rows: list[dict] | None = None
         self.results: ResultSet | None = None
 
     @property
@@ -198,6 +199,7 @@ class Experiment:
             self.runner = runner
             self._sweep = None
             self._mc_resolved = None
+        self._mc_yield_rows = None
         jobs = self.plan()
         self.runner.run(jobs, label=self.spec.name)
         self.results = self._collect()
@@ -238,6 +240,21 @@ class Experiment:
                 self.mc_jobs(), label=f"{self.spec.name}:montecarlo")
         return self._mc_resolved
 
+    def mc_yield_rows(self) -> list[dict]:
+        """The ``yield_curve`` reduction of :meth:`mc_results`.
+
+        Reduced once per :meth:`run` and shared by the ``mc-yield``
+        records and the ``yield_curve`` artifact, so the Welford
+        streams pass over the dies once.  Callers get copies of the
+        rows: editing one cannot reach the shared result.
+        """
+        if self._mc_yield_rows is None:
+            mc = self.spec.montecarlo
+            self._mc_yield_rows = yield_curve_rows(
+                self.mc_results(), self.spec.grid(), self.spec.schemes,
+                mc.dies, mc.confidence, importance=mc.importance)
+        return [dict(row) for row in self._mc_yield_rows]
+
     #: Above this die count the per-die ``mc-die`` records are omitted
     #: from the ResultSet: a million-die campaign must not export two
     #: million rows of per-die identity nobody can plot.  The aggregate
@@ -254,23 +271,20 @@ class Experiment:
         mc = self.spec.montecarlo
         if mc is None:
             return []
-        grid, schemes = self.spec.grid(), self.spec.schemes
-        results = self.mc_results()
         records = [
             Record(kind="mc-yield", scheme=row["scheme"],
                    vcc_mv=row["vcc_mv"],
                    metrics={key: value for key, value in row.items()
                             if key not in ("scheme", "vcc_mv")})
-            for row in yield_curve_rows(results, grid, schemes, mc.dies,
-                                        mc.confidence,
-                                        importance=mc.importance)]
+            for row in self.mc_yield_rows()]
         if mc.dies <= self._PER_DIE_RECORD_LIMIT:
             records.extend(
                 Record(kind="mc-die", scheme=row["scheme"], vcc_mv=0.0,
                        variant=f"die{row['die']}",
                        metrics={key: value for key, value in row.items()
                                 if key != "scheme"})
-                for row in per_die_rows(results, grid, schemes, mc.dies))
+                for row in per_die_rows(self.mc_results(), self.spec.grid(),
+                                        self.spec.schemes, mc.dies))
         return records
 
     def _point_record(self, vcc_mv: float, scheme: str,

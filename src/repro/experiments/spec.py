@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import pathlib
 import re
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from repro.analysis.dvfs import DvfsPhase
 from repro.analysis.sweep import SweepSettings
 from repro.circuits import constants
-from repro.circuits.ekv import voltage_grid
+from repro.circuits.ekv import VCC_MAX_MV, VCC_MIN_MV, voltage_grid
 from repro.circuits.frequency import ClockScheme
 from repro.engine.jobs import TraceSpec
 from repro.errors import ConfigError, TraceError
@@ -68,6 +69,19 @@ TABLE1_TECHNIQUES = ("iraw", "faulty-bits", "extra-bypass",
 _STALLS_DEFAULT_VCC_MV = 575.0
 
 _SCHEME_NAMES = tuple(scheme.value for scheme in ClockScheme)
+
+
+def _check_vcc(vcc_mv: float, where: str) -> None:
+    """Reject a Vcc the delay model cannot evaluate, at the boundary.
+
+    A dry run must accept exactly what a real run accepts, so NaN, inf
+    and out-of-range levels fail here rather than as a
+    ``VoltageRangeError`` mid-campaign.
+    """
+    if not (math.isfinite(vcc_mv) and VCC_MIN_MV <= vcc_mv <= VCC_MAX_MV):
+        raise ConfigError(
+            f"{where}: Vcc {vcc_mv:g} mV is outside the modeled "
+            f"[{VCC_MIN_MV:g}, {VCC_MAX_MV:g}] mV range")
 
 
 @dataclass(frozen=True)
@@ -129,6 +143,8 @@ class DvfsScheduleSpec:
                               f"least one scheme")
         for scheme in self.schemes:
             _check_scheme(scheme, f"dvfs schedule {self.name!r}")
+        for phase in self.phases:
+            _check_vcc(phase.vcc_mv, f"dvfs schedule {self.name!r} phase")
         covered = sum(phase.instructions for phase in self.phases)
         length = self.trace.length if self.trace.source == "synthetic" \
             else None
@@ -379,6 +395,14 @@ class ExperimentSpec:
         if self.vcc_mv and self.step_mv is not None:
             raise ConfigError(f"experiment {self.name!r}: give either "
                               f"vcc_mv or step_mv, not both")
+        if self.step_mv is not None \
+                and not (math.isfinite(self.step_mv) and self.step_mv > 0):
+            raise ConfigError(f"experiment {self.name!r}: step_mv must be "
+                              f"positive millivolts (got {self.step_mv:g})")
+        for vcc in self.vcc_mv:
+            _check_vcc(vcc, f"experiment {self.name!r} vcc_mv")
+        _check_vcc(self.table1_vcc_mv, f"experiment {self.name!r} table1")
+        _check_vcc(self.stalls_vcc_mv, f"experiment {self.name!r} stalls")
         for scheme in self.schemes:
             _check_scheme(scheme, f"experiment {self.name!r}")
         if not self.schemes:

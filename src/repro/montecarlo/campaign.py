@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.circuits.frequency import FrequencySolver
 from repro.engine.jobs import Job
 from repro.errors import ConfigError
@@ -221,38 +223,43 @@ def yield_curve_rows(results, grid, schemes, dies: int,
     return rows
 
 
-def _fold_vccmin(results, grid, schemes, dies: int):
-    """Per-scheme ``(vccmin per die, worst sigma per die)`` maps.
+def _fold_vccmin(results, grid, schemes, dies: int,
+                 with_sigma: bool = False):
+    """Per-scheme Vccmin lists (index = die), plus the worst sigmas.
 
     A die's Vccmin is the lowest grid Vcc where it is functional; a die
     functional nowhere on the grid is *censored* (``None``) and is
     reported as a count, not a fake number.  State is O(dies) per
-    scheme — the per-point results are consumed as a stream.
+    scheme — the per-point results are consumed as a stream, blocks
+    through their functional indices.  ``with_sigma`` also collects
+    each die's worst sigma (vcc-independent, so the first grid point
+    supplies it); otherwise the second value is ``None``.
     """
-    vccmin: dict[str, dict[int, float | None]] = {
-        str(s): {die: None for die in range(dies)} for s in schemes}
-    sigma: dict[int, float] = {}
+    best = {str(s): np.full(dies, math.inf) for s in schemes}
+    sigma = [0.0] * dies if with_sigma else None
+    first_group = True
     for vcc, scheme, group in _grouped(results, grid, schemes, dies):
-        per_die = vccmin[str(scheme)]
+        per_die = best[str(scheme)]
+        vcc = float(vcc)
         die = 0  # plan order = die order, blocks included
         for result in group:
             if isinstance(result, DieBlockResult):
-                values = zip(result.worst_sigma.tolist(),
-                             result.functional.tolist())
-                for worst, functional in values:
-                    sigma[die] = worst
-                    if functional:
-                        best = per_die[die]
-                        if best is None or vcc < best:
-                            per_die[die] = float(vcc)
-                    die += 1
+                span = slice(die, die + result.dies)
+                if first_group and with_sigma:
+                    sigma[span] = result.worst_sigma.tolist()
+                functional = np.flatnonzero(result.functional) + die
+                per_die[functional] = np.minimum(per_die[functional], vcc)
+                die += result.dies
                 continue
-            sigma[die] = result.worst_sigma
-            if result.functional:
-                best = per_die[die]
-                if best is None or vcc < best:
-                    per_die[die] = float(vcc)
+            if first_group and with_sigma:
+                sigma[die] = result.worst_sigma
+            if result.functional and vcc < per_die[die]:
+                per_die[die] = vcc
             die += 1
+        first_group = False
+    vccmin = {scheme: [None if value == math.inf else value
+                       for value in values.tolist()]
+              for scheme, values in best.items()}
     return vccmin, sigma
 
 
@@ -265,7 +272,7 @@ def vccmin_rows(results, grid, schemes, dies: int) -> list[dict]:
         distribution = DiscreteDistribution()
         censored = 0
         at_floor = 0
-        for value in vccmin[str(scheme)].values():
+        for value in vccmin[str(scheme)]:
             if value is None:
                 censored += 1
                 continue
@@ -294,7 +301,8 @@ def per_die_rows(results, grid, schemes, dies: int) -> list[dict]:
     ``vccmin_mv = None`` — ``null`` in JSON, an empty CSV cell — never
     a NaN token that would make the JSON export unparseable.
     """
-    vccmin, sigma = _fold_vccmin(results, grid, schemes, dies)
+    vccmin, sigma = _fold_vccmin(results, grid, schemes, dies,
+                                 with_sigma=True)
     return [
         {
             "scheme": str(scheme),
@@ -304,5 +312,5 @@ def per_die_rows(results, grid, schemes, dies: int) -> list[dict]:
             "worst_sigma": sigma[die],
         }
         for scheme in schemes
-        for die, value in sorted(vccmin[str(scheme)].items())
+        for die, value in enumerate(vccmin[str(scheme)])
     ]

@@ -30,6 +30,7 @@ the lowest grid Vcc where a die is functional is its **Vccmin**.
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import math
 import random
@@ -61,6 +62,34 @@ DIE_SIGMA_MV = 10.0
 MAX_SLOWDOWN = 1.25
 
 _STANDARD_NORMAL = NormalDist()
+
+#: The clamps of :func:`worst_cell_sigma`: the uniform floor, and the
+#: largest double below 1.0 as the ceiling of ``u`` and ``p``.
+_U_MIN = 1e-300
+_P_MAX = 1.0 - 1e-16
+
+#: Lower edge of the region where :meth:`DieBlock.build` takes one
+#: ``inv_cdf`` per die instead of one per array.  ``max_i f(p_i) ==
+#: f(max_i p_i)`` for any weakly monotone ``f``, so the max over arrays
+#: can be taken in p-space.  The AS241 rational behind
+#: ``NormalDist.inv_cdf`` is *not* weakly monotone everywhere in
+#: floating point: inside its central branch and at the central/tail
+#: seam (p = 0.925) a step to the adjacent double (1.1e-16 apart)
+#: moves the true quantile by about one output ulp, less than the
+#: rational's own rounding, and outputs step backwards.  Above
+#: ``1 - 1e-3`` the same step moves the true quantile by at least
+#: ``1.1e-16 / phi(3.09) ~ 3.3e-14``, about 75 output ulps, and near
+#: p = 1 - 1e-7 (where campaigns live) by ~1e-11 relative — far above
+#: the few-ulp rounding error of the rational, including across its
+#: inner tail seam at ``1 - e^-25``.  So outputs are weakly monotone
+#: there, and every p below the edge maps strictly below every p above
+#: it.  The largest array (UL1, 4.4 Mbit) keeps ``max_i p_i`` above
+#: ``1 - 1.6e-4`` for every uniform the clamp admits, so full-array
+#: campaigns never leave the region; a die whose max lands below it
+#: (small array subsets) takes the per-array oracle path instead.
+#: ``tests/test_mc_block.py`` scans adjacent doubles across the region
+#: and its seams.
+_P_MONOTONE = 1.0 - 1e-3
 
 #: Tolerance absorbing float rounding in phase-delay comparisons: a die
 #: whose worst cell is *stronger* than the design margin must never be
@@ -237,8 +266,9 @@ def shifted_offset(offset_mv: float,
 
     Returns ``(reported offset_mv, log weight)``; the single shift
     implementation shared by :func:`sample_die` and
-    :meth:`DieBlock.build`, so the scalar and vectorized paths agree
-    bit for bit on both the samples and the weights.
+    :meth:`BlockDraws.sample` (elementwise on ndarrays there), so the
+    scalar and vectorized paths agree bit for bit on both the samples
+    and the weights.
     """
     shift = config.shift_sigma
     if shift == 0.0:
@@ -340,9 +370,12 @@ def evaluate_die_point(config: MonteCarloConfig, die: int, vcc_mv: float,
 class DieBlock:
     """A contiguous die range of one campaign, sampled as one unit.
 
-    Hashable (config + range) so per-process memoization can reuse one
-    sampled block across every (Vcc, scheme) grid point that evaluates
-    it — sampling runs once per block, not once per job.
+    Hashable (config + range).  Its :attr:`draw_key` names the RNG
+    draws alone, so the per-process block memo shares one sampled block
+    across every (Vcc, scheme) grid point that evaluates it — and
+    across every campaign that differs only in how the draws are
+    interpreted (proposal shift, cell sigma, design margin, binning
+    floor) — sampling runs once per draw identity, not once per job.
     """
 
     config: MonteCarloConfig
@@ -357,46 +390,133 @@ class DieBlock:
             raise ConfigError(f"a die block needs at least one die "
                               f"(got {self.dies})")
 
-    def build(self) -> "BlockSample":
-        """The block's sampled identity, in die order (read-only).
+    @property
+    def draw_key(self) -> tuple:
+        """Everything the block's RNG draws depend on.
 
-        Each die goes through the exact scalar :func:`sample_die` draw
-        sequence — die RNG, offset gauss (proposal-shifted through the
-        shared :func:`shifted_offset`), one uniform per array in
-        sorted-name order — the block is purely an evaluation batch,
-        never a different sampling contract.  The invariant per-die
-        setup (the array name/bits table) is hoisted out of the loop;
-        every float operation, including the IS log weight, matches
-        the scalar path bit for bit.
+        The per-die stream is seeded by ``(seed, die)``, the offset
+        draw happens only when ``die_sigma_mv > 0`` and scales with
+        it, and one uniform is drawn per sampled array.  ``sigma_mv``,
+        ``shift_sigma``, ``design_sigma`` and ``max_slowdown`` only
+        transform the draws afterwards (:meth:`BlockDraws.sample`), so
+        they stay out of the key.
         """
         config = self.config
-        bits = config.array_bits()
-        sigma_mv = config.sigma_mv
+        return (config.seed, config.die_sigma_mv, config.arrays,
+                self.die_start, self.dies)
+
+    def build(self) -> "BlockDraws":
+        """The block's raw per-die draws, in die order (read-only).
+
+        Each die goes through the exact scalar :func:`sample_die` draw
+        sequence — the ``(seed, die)`` stream, the offset gauss, one
+        uniform per array in sorted-name order — the block is purely
+        an evaluation batch, never a different sampling contract.  The
+        loop is :func:`die_rng` and :func:`worst_cell_sigma` inlined
+        with the same scalar libm calls, except that the max over
+        arrays is taken in p-space with one ``inv_cdf`` per die (see
+        :data:`_P_MONOTONE`).  One ``random.Random`` per call is
+        re-seeded per die, exactly as constructing a fresh one does;
+        it is a local, never module state, because the queue backend
+        runs executors on threads.
+        """
+        config = self.config
+        bits = tuple(total_bits for _, total_bits in config.array_bits())
         die_sigma_mv = config.die_sigma_mv
-        seed = config.seed
-        effective = np.empty(self.dies, dtype=np.float64)
-        log_weight = np.empty(self.dies, dtype=np.float64)
-        for index in range(self.dies):
-            rng = die_rng(seed, self.die_start + index)
-            offset_mv = rng.gauss(0.0, die_sigma_mv) \
-                if die_sigma_mv > 0 else 0.0
-            offset_mv, die_log_weight = shifted_offset(offset_mv, config)
-            worst = max(worst_cell_sigma(rng.random(), total_bits)
-                        for _, total_bits in bits)
-            effective[index] = worst + offset_mv / sigma_mv
-            log_weight[index] = die_log_weight
-        effective.flags.writeable = False
-        log_weight.flags.writeable = False
-        return BlockSample(effective=effective, log_weight=log_weight)
+        prefix = f"repro-mc:{config.seed}:".encode("ascii")
+        u_min, p_max_clamp = _U_MIN, _P_MAX
+        # With one array there is no max to collapse: any p is exact.
+        monotone = _P_MONOTONE if len(bits) > 1 else 0.0
+        rng = random.Random()
+        reseed = _random.Random.seed
+        gauss = rng.gauss
+        uniform = rng.random
+        sha256 = hashlib.sha256
+        from_bytes = int.from_bytes
+        log = math.log
+        exp = math.exp
+        inv_cdf = _STANDARD_NORMAL.inv_cdf
+        worst = []
+        offsets = []
+        for die in range(self.die_start, self.die_start + self.dies):
+            digest = sha256(prefix + b"%d" % die).digest()
+            reseed(rng, from_bytes(digest[:16], "big"))
+            rng.gauss_next = None
+            offsets.append(gauss(0.0, die_sigma_mv)
+                           if die_sigma_mv > 0 else 0.0)
+            p_max = 0.0
+            for total_bits in bits:
+                # random() never exceeds 1 - 2**-53 == _P_MAX, so only
+                # the floor of the oracle's clamp can bind.
+                u = uniform()
+                if u < u_min:
+                    u = u_min
+                p = exp(log(u) / total_bits)
+                if p > p_max:
+                    p_max = p
+            if p_max >= monotone:
+                worst.append(inv_cdf(p_max if p_max < p_max_clamp
+                                     else p_max_clamp))
+            else:
+                # Outside the verified-monotone region: take the max of
+                # the per-array quantiles exactly as the oracle does.
+                worst.append(max(sigma for _, sigma
+                                 in sample_die(config, die).worst_sigma))
+        return BlockDraws(worst_sigma=_frozen(np.array(worst)),
+                          offset_mv=_frozen(np.array(offsets)))
+
+
+class BlockDraws:
+    """A die block's raw draws: what :meth:`DieBlock.build` samples.
+
+    Config-independent beyond :attr:`DieBlock.draw_key` — the value the
+    per-process block memo stores and :meth:`sample` interprets for
+    each campaign config.  Arrays are read-only and aligned by position
+    with the block's die range.
+    """
+
+    __slots__ = ("worst_sigma", "offset_mv", "_last")
+
+    def __init__(self, worst_sigma: np.ndarray, offset_mv: np.ndarray):
+        #: Worst cell across the sampled arrays, in cell sigmas.
+        self.worst_sigma = worst_sigma
+        #: The nominal die-to-die offset draw, in millivolts (no
+        #: proposal shift applied).
+        self.offset_mv = offset_mv
+        self._last: tuple[MonteCarloConfig, BlockSample] | None = None
+
+    def sample(self, config: MonteCarloConfig) -> "BlockSample":
+        """The draws interpreted under ``config``.
+
+        The proposal shift goes through the shared
+        :func:`shifted_offset` elementwise — ``+ - * /`` on ndarrays
+        round exactly like the scalar path and run in its order — so
+        the effective sigma and the IS log weight match
+        :func:`sample_die` bit for bit.  At shift 0 the log weights
+        are an all-zero array.  The last derivation is kept, so every
+        (Vcc, scheme) job of one campaign shares one pair of arrays
+        (results reference them) instead of holding a copy each.
+        """
+        last = self._last
+        if last is not None and last[0] == config:
+            return last[1]
+        offset_mv, log_weight = shifted_offset(self.offset_mv, config)
+        effective = self.worst_sigma + offset_mv / config.sigma_mv
+        if np.isscalar(log_weight):
+            log_weight = np.zeros(effective.shape)
+        sample = BlockSample(effective=_frozen(effective),
+                             log_weight=_frozen(log_weight))
+        self._last = (config, sample)
+        return sample
 
 
 @dataclass(frozen=True, eq=False)
 class BlockSample:
-    """A sampled die block: per-die effective sigmas + IS log weights.
+    """A die block under one config: effective sigmas + IS log weights.
 
-    The value :meth:`DieBlock.build` produces and the per-process block
-    memo shares across the (Vcc, scheme) grid.  Arrays are read-only
-    and aligned by position with the block's die range.
+    The value :meth:`BlockDraws.sample` derives and
+    :func:`evaluate_block` consumes.  Arrays are read-only and aligned
+    by position with the block's die range.
     """
 
     effective: np.ndarray
@@ -492,13 +612,13 @@ def evaluate_block(config: MonteCarloConfig, die_start: int, dies: int,
     """Evaluate a contiguous die block at one grid point, vectorized.
 
     Bit-equal per die to :func:`evaluate_die_point` (see the section
-    comment).  ``sample`` short-circuits sampling with a pre-built
-    :meth:`DieBlock.build` value so executors can share one sampled
-    block across the whole (Vcc, scheme) grid.
+    comment).  ``sample`` short-circuits sampling with a block already
+    derived from memoized :meth:`DieBlock.build` draws, so executors
+    share one sampled block across the whole (Vcc, scheme) grid.
     """
     solver = solver or FrequencySolver()
     if sample is None:
-        sample = DieBlock(config, die_start, dies).build()
+        sample = DieBlock(config, die_start, dies).build().sample(config)
     effective = sample.effective
     if effective.shape != (dies,):
         raise ConfigError(

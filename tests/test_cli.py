@@ -462,3 +462,30 @@ class TestMcArgumentValidation:
                      "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert out.count("500    | baseline") == 1
+
+
+class TestVccBoundary:
+    """A dry run accepts exactly what a real run accepts: out-of-model
+    Vcc levels exit 2 with a one-line error in both modes."""
+
+    @pytest.mark.parametrize("suffix,level", [(".toml", "300.0"),
+                                              (".toml", "-5.0"),
+                                              (".toml", "nan"),
+                                              (".json", "NaN")])
+    def test_bad_vcc_exits_2_dry_and_real(self, tmp_path, capsys, suffix,
+                                          level):
+        path = tmp_path / f"spec{suffix}"
+        if suffix == ".toml":
+            path.write_text(f'name = "bad"\nartifacts = ["yield_curve"]\n'
+                            f'[grid]\nvcc_mv = [{level}]\n'
+                            f'[montecarlo]\ndies = 2\n')
+        else:
+            path.write_text('{"name": "bad", "artifacts": ["yield_curve"], '
+                            f'"grid": {{"vcc_mv": [{level}]}}, '
+                            '"montecarlo": {"dies": 2}}')
+        for extra in (["--dry-run"], []):
+            assert main(["run", str(path), "--no-cache", *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:")
+            assert "outside the modeled" in captured.err
+            assert "Traceback" not in captured.err

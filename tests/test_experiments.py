@@ -115,6 +115,57 @@ class TestSpecValidation:
         assert spec.memory_config().dram_latency_cycles == 9
 
 
+class TestVccBoundary:
+    """Vcc levels the delay model cannot evaluate fail at load time,
+    with a ConfigError, instead of mid-campaign."""
+
+    @staticmethod
+    def load(tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return ExperimentSpec.load(path)
+
+    @pytest.mark.parametrize("level", ["300.0", "-5.0", "nan", "inf"])
+    def test_grid_level_outside_the_model_rejected(self, tmp_path, level):
+        with pytest.raises(ConfigError, match="outside the modeled"):
+            self.load(tmp_path, "spec.toml",
+                      f'name = "x"\nartifacts = ["yield_curve"]\n'
+                      f'[grid]\nvcc_mv = [{level}]\n'
+                      f'[montecarlo]\ndies = 2\n')
+
+    def test_nan_grid_level_rejected_from_json(self, tmp_path):
+        with pytest.raises(ConfigError, match="outside the modeled"):
+            self.load(tmp_path, "spec.json",
+                      '{"name": "x", "artifacts": ["yield_curve"], '
+                      '"grid": {"vcc_mv": [NaN]}, '
+                      '"montecarlo": {"dies": 2}}')
+
+    @pytest.mark.parametrize("step", [0.0, -25.0, float("nan"),
+                                      float("inf")])
+    def test_non_positive_or_non_finite_step_rejected(self, step):
+        with pytest.raises(ConfigError, match="step_mv"):
+            ExperimentSpec(step_mv=step)
+
+    @pytest.mark.parametrize("field", ["table1_vcc_mv", "stalls_vcc_mv"])
+    @pytest.mark.parametrize("level", [300.0, 750.0, float("nan")])
+    def test_table1_and_stalls_levels_checked(self, field, level):
+        with pytest.raises(ConfigError, match="outside the modeled"):
+            ExperimentSpec(**{field: level})
+
+    @pytest.mark.parametrize("level", [300.0, -5.0, float("nan")])
+    def test_dvfs_phase_level_checked(self, level):
+        with pytest.raises(ConfigError, match="outside the modeled"):
+            DvfsScheduleSpec(
+                name="bad",
+                trace=TraceSpec.synthetic("office-like", length=1000),
+                phases=(DvfsPhase(500.0, 500), DvfsPhase(level, 500)))
+
+    def test_model_range_edges_accepted(self):
+        spec = ExperimentSpec(vcc_mv=(400.0, 700.0), table1_vcc_mv=400.0,
+                              stalls_vcc_mv=700.0)
+        assert spec.grid() == (400.0, 700.0)
+
+
 class TestSpecSerialization:
     def test_dict_round_trip_full_featured(self):
         spec = small_dvfs_spec(

@@ -129,7 +129,7 @@ class TestShiftZeroDegeneracy:
     def test_scalar_and_block_paths_match_bitwise(self):
         for shift in (0.0, 1.5):
             config = MonteCarloConfig(seed=3, shift_sigma=shift)
-            sample = DieBlock(config, 0, 32).build()
+            sample = DieBlock(config, 0, 32).build().sample(config)
             for die in range(32):
                 scalar = sample_die(config, die)
                 assert scalar.effective_sigma(config.sigma_mv) \
@@ -138,7 +138,7 @@ class TestShiftZeroDegeneracy:
 
     def test_zero_shift_weights_are_exactly_zero(self):
         config = MonteCarloConfig(seed=1)
-        sample = DieBlock(config, 0, 64).build()
+        sample = DieBlock(config, 0, 64).build().sample(config)
         assert sample.log_weight.tolist() == [0.0] * 64
         result = evaluate_die_point(config, 5, XVAL_VCC, ClockScheme.IRAW)
         assert result.log_weight == 0.0

@@ -9,8 +9,12 @@ chunks, broker batch claims with hardlinked heartbeats, the worker
 supervisor) preserves results while amortizing per-job overhead.
 """
 
+import math
 import os
+import sys
 import threading
+from collections import OrderedDict
+from statistics import NormalDist
 
 import pytest
 from hypothesis import given, settings
@@ -26,11 +30,13 @@ from repro.engine import (
     job_key,
     shard_jobs,
 )
+from repro.engine import executors
 from repro.engine.broker import SpoolBroker, WorkerSupervisor, \
     run_worker_loop
 from repro.engine.executors import execute_chunk, execute_job
 from repro.errors import ConfigError
 from repro.montecarlo import (
+    ImportanceSpec,
     MonteCarloConfig,
     MonteCarloSpec,
     StreamingStats,
@@ -40,7 +46,12 @@ from repro.montecarlo import (
     vccmin_rows,
     yield_curve_rows,
 )
-from repro.montecarlo.sampling import DieBlock, evaluate_block
+from repro.montecarlo.sampling import (
+    _P_MAX,
+    _P_MONOTONE,
+    DieBlock,
+    evaluate_block,
+)
 
 pytestmark = pytest.mark.engine
 
@@ -68,7 +79,7 @@ def campaign_rows(dies, block, grid=GRID, schemes=SCHEMES, seed=2,
 class TestBlockKernel:
     def test_block_build_matches_scalar_sampling_bit_for_bit(self):
         config = MonteCarloConfig(seed=3)
-        block = DieBlock(config, die_start=5, dies=32).build()
+        block = DieBlock(config, die_start=5, dies=32).build().sample(config)
         scalar = [sample_die(config, die).effective_sigma(config.sigma_mv)
                   for die in range(5, 37)]
         assert block.effective.tolist() == scalar  # exact, not approx
@@ -77,7 +88,7 @@ class TestBlockKernel:
     def test_block_build_honours_array_subset_and_zero_offset(self):
         config = MonteCarloConfig(seed=1, arrays=("RF", "DL0"),
                                   die_sigma_mv=0.0)
-        block = DieBlock(config, die_start=0, dies=16).build()
+        block = DieBlock(config, die_start=0, dies=16).build().sample(config)
         scalar = [sample_die(config, die).effective_sigma(config.sigma_mv)
                   for die in range(16)]
         assert block.effective.tolist() == scalar
@@ -96,7 +107,7 @@ class TestBlockKernel:
 
     def test_block_arrays_are_read_only(self):
         config = MonteCarloConfig(seed=0)
-        sampled = DieBlock(config, 0, 4).build()
+        sampled = DieBlock(config, 0, 4).build().sample(config)
         with pytest.raises(ValueError):
             sampled.effective[0] = 0.0
         with pytest.raises(ValueError):
@@ -111,10 +122,171 @@ class TestBlockKernel:
             DieBlock(config, die_start=-1, dies=4)
         with pytest.raises(ConfigError, match="at least one die"):
             DieBlock(config, die_start=0, dies=0)
-        bad_shape = DieBlock(config, 0, 4).build()
+        bad_shape = DieBlock(config, 0, 4).build().sample(config)
         with pytest.raises(ConfigError, match="shape"):
             evaluate_block(config, 0, 8, 500.0, ClockScheme.BASELINE,
                            sample=bad_shape)
+
+
+# ----------------------------------------------------------------------
+# Sampler exactness: the one-pass block sampler vs the scalar oracle
+# ----------------------------------------------------------------------
+
+EXACT_DIES = 4096
+
+
+def oracle(config, dies):
+    """``sample_die`` per die: (effective sigmas, log weights)."""
+    samples = [sample_die(config, die) for die in range(dies)]
+    return ([sample.effective_sigma(config.sigma_mv) for sample in samples],
+            [sample.log_weight for sample in samples])
+
+
+def executed_block(config, dies=EXACT_DIES):
+    """The block as the engine executor samples it (through the memo)."""
+    mc = MonteCarloSpec(
+        dies=dies, seed=config.seed, block=dies, arrays=config.arrays,
+        die_sigma_mv=config.die_sigma_mv,
+        importance=ImportanceSpec(shift_sigma=config.shift_sigma)
+        if config.shift_sigma else None)
+    assert mc.config() == config
+    [job] = montecarlo_jobs(mc, (500.0,), ("iraw",))
+    result = execute_job(job)
+    return result.worst_sigma.tolist(), result.log_weight.tolist()
+
+
+class TestSamplerExactness:
+    @pytest.mark.parametrize("seed", [0, 7919])
+    @pytest.mark.parametrize("shifted_first", [True, False])
+    def test_shared_draws_match_the_oracle_in_either_order(
+            self, monkeypatch, seed, shifted_first):
+        """Shift 0 and 2.0 share one memoized draw block; whichever
+        config builds it, both read back the oracle bit for bit."""
+        monkeypatch.setattr(executors, "_BLOCK_DRAWS", OrderedDict())
+        configs = [MonteCarloConfig(seed=seed, shift_sigma=2.0),
+                   MonteCarloConfig(seed=seed)]
+        if not shifted_first:
+            configs.reverse()
+        for config in configs:
+            assert executed_block(config) == oracle(config, EXACT_DIES)
+        assert len(executors._BLOCK_DRAWS) == 1  # drawn once, shared
+
+    def test_threads_sharing_draws_each_read_their_own_config(
+            self, monkeypatch):
+        """Queue workers run executors on threads: jobs of two configs
+        racing on one memoized draw block (and its last-derivation
+        slot) must each still read back their own config's oracle."""
+        monkeypatch.setattr(executors, "_BLOCK_DRAWS", OrderedDict())
+        configs = [MonteCarloConfig(seed=11), MonteCarloConfig(
+            seed=11, shift_sigma=2.0)]
+        expected = [oracle(config, 64) for config in configs]
+        mismatches = []
+
+        def work(index):
+            for _ in range(20):
+                config = configs[index % 2]
+                if executed_block(config, dies=64) \
+                        != expected[index % 2]:
+                    mismatches.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(index,))
+                       for index in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    def test_array_subset_matches_the_oracle(self):
+        """RF + RSB are small enough that many dies' max p falls below
+        the monotone edge, so the per-array fallback is exercised."""
+        config = MonteCarloConfig(seed=7919, arrays=("RF", "RSB"))
+        expected = oracle(config, EXACT_DIES)
+        below = sum(NormalDist().cdf(max(sigma for _, sigma in
+                                         sample_die(config, die).worst_sigma))
+                    < _P_MONOTONE for die in range(EXACT_DIES))
+        assert below > 0
+        assert executed_block(config) == expected
+        sample = DieBlock(config, 0, EXACT_DIES).build().sample(config)
+        assert (sample.effective.tolist(),
+                sample.log_weight.tolist()) == expected
+
+    def test_zero_die_sigma_matches_the_oracle(self):
+        config = MonteCarloConfig(seed=0, die_sigma_mv=0.0)
+        draws = DieBlock(config, 0, EXACT_DIES).build()
+        assert draws.offset_mv.tolist() == [0.0] * EXACT_DIES
+        assert executed_block(config) == oracle(config, EXACT_DIES)
+
+    def test_draw_key_ignores_how_draws_are_interpreted(self):
+        base = MonteCarloConfig(seed=3)
+        remargined = MonteCarloConfig(seed=3, shift_sigma=1.0,
+                                      sigma_mv=12.0, design_sigma=5.0,
+                                      max_slowdown=1.5)
+        assert DieBlock(base, 0, 8).draw_key \
+            == DieBlock(remargined, 0, 8).draw_key
+        for other in (MonteCarloConfig(seed=4),
+                      MonteCarloConfig(seed=3, die_sigma_mv=5.0),
+                      MonteCarloConfig(seed=3, arrays=("RF",))):
+            assert DieBlock(other, 0, 8).draw_key \
+                != DieBlock(base, 0, 8).draw_key
+        assert DieBlock(base, 1, 8).draw_key != DieBlock(base, 0, 8).draw_key
+
+
+def _quantile(p):
+    return NormalDist().inv_cdf(min(p, _P_MAX))
+
+
+def _stepped(p, steps):
+    """``p`` moved ``steps`` adjacent doubles (clamped to (0, 1])."""
+    toward = 2.0 if steps > 0 else 0.0
+    for _ in range(abs(steps)):
+        p = math.nextafter(p, toward)
+    return min(p, 1.0)
+
+
+#: Anchors of the region the block sampler collapses in: its edge, the
+#: AS241 inner tail seam (r = 5, p = 1 - e^-25), where campaigns live,
+#: and the top doubles below 1.
+_ANCHORS = (_P_MONOTONE, 1.0 - math.exp(-25.0), 1.0 - 1e-7, _P_MAX)
+
+
+class TestPSpaceCollapse:
+    """``inv_cdf(max p) == max inv_cdf(p)`` wherever the sampler uses it.
+
+    The collapse is exact where ``NormalDist.inv_cdf`` is weakly
+    monotone.  It is not at the central/tail seam p = 0.925 (adjacent
+    doubles there step backwards by an ulp), which is why the sampler
+    collapses only when the die's max p is at or above ``_P_MONOTONE``.
+    """
+
+    @given(base=st.sampled_from(_ANCHORS)
+           | st.floats(_P_MONOTONE, 1.0),
+           steps=st.lists(st.integers(-64, 64), max_size=10),
+           others=st.lists(st.floats(0.0, 1.0, exclude_min=True,
+                                     exclude_max=True), max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_collapse_is_exact_above_the_edge(self, base, steps, others):
+        ps = [base] + [_stepped(base, k) for k in steps] + others
+        assert max(ps) >= _P_MONOTONE
+        assert _quantile(max(ps)) == max(_quantile(p) for p in ps)
+
+    @pytest.mark.parametrize("anchor", _ANCHORS)
+    def test_adjacent_doubles_are_weakly_monotone(self, anchor):
+        p = _stepped(anchor, -5000)
+        previous = _quantile(p)
+        for _ in range(10000):
+            p = math.nextafter(p, 2.0)
+            if p >= 1.0:
+                break
+            value = _quantile(p)
+            assert value >= previous, p
+            previous = value
 
 
 # ----------------------------------------------------------------------

@@ -454,6 +454,44 @@ class TestExperimentIntegration:
                                                     450.0, 450.0]
         assert {row["scheme"] for row in dist} == {"baseline", "iraw"}
 
+    def test_yield_curve_is_reduced_once_per_run(self, monkeypatch):
+        """The mc-yield records and the yield_curve artifact share one
+        reduction; a rerun reduces again (the memo resets in run())."""
+        from repro.experiments import experiment as experiment_module
+        from repro.montecarlo import campaign
+
+        calls = []
+        original = campaign.yield_curve_rows
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (campaign, experiment_module):
+            monkeypatch.setattr(module, "yield_curve_rows", counting)
+        experiment = Experiment(self.SPEC)
+        experiment.run()
+        curve = experiment.artifact("yield_curve")
+        assert len(calls) == 1
+        experiment.run()
+        assert experiment.artifact("yield_curve") == curve
+        assert len(calls) == 2
+
+    def test_editing_an_artifact_row_leaves_the_results_alone(self):
+        experiment = Experiment(self.SPEC)
+        results = experiment.run()
+        before = [(record.kind, record.scheme, record.vcc_mv,
+                   record.metrics) for record in results.records]
+        curve = experiment.artifact("yield_curve")
+        pristine = [dict(row) for row in curve]
+        curve[0]["functional_yield"] = -1.0
+        curve[0]["scheme"] = "edited"
+        curve.append({"vcc_mv": 0.0})
+        assert [(record.kind, record.scheme, record.vcc_mv,
+                 record.metrics) for record in experiment.results.records] \
+            == before
+        assert experiment.artifact("yield_curve") == pristine
+
     def test_mc_jobs_planned_even_without_mc_artifacts(self):
         spec = ExperimentSpec(
             name="mixed", profiles=("kernel-like",), trace_length=300,
