@@ -29,10 +29,6 @@ class IqOccupancyGate:
             raise ConfigError(f"IQ size must be a power of two, got {iq_size}")
         if issue_window <= 0 or alloc_width <= 0:
             raise ConfigError("issue window and alloc width must be positive")
-        if alloc_width != 2:
-            # Figure 9's threshold multiplier is a left shift (AI = 2).
-            # Other widths are supported via plain multiply.
-            pass
         self.iq_size = iq_size
         self.issue_window = issue_window  # ICI
         self.alloc_width = alloc_width    # AI

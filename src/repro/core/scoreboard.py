@@ -23,8 +23,15 @@ Long-latency producers (divides, load misses) cannot encode their latency
 at issue; their register is zeroed and a completion event later installs
 the (II)/(III)/(IV) tail (Section 4.1.1).
 
-Shift registers are stored as Python ints (bit ``width-1`` = MSB) and only
-registers with in-flight state are ticked, keeping the per-cycle cost low.
+Shift registers are *stamped*, not ticked.  Each register keeps the
+pattern it was last written with plus the scoreboard clock at that
+write; a read shifts lazily by the ticks elapsed since, so :meth:`tick`
+only advances the clock (O(1), however many registers are in flight).
+The pattern is stored in time order -- bit ``d`` is the MSB ``d`` ticks
+after the write, i.e. bit ``width-1-d`` of the MSB-first pattern -- and
+sign-extended with the sticky LSB, so ``timeline >> d & 1`` answers
+"ready after ``d`` ticks" for every ``d >= 0`` and bits ``d .. d+width-1``
+are the register's contents at that point, MSB first.
 """
 
 from __future__ import annotations
@@ -49,14 +56,19 @@ class Scoreboard:
         self.max_stabilization_cycles = max_stabilization_cycles
         #: Physical width: sized at design time for the deepest N.
         self.width = baseline_bits + bypass_levels + max_stabilization_cycles
-        self._msb_mask = 1 << (self.width - 1)
         self._full_mask = (1 << self.width) - 1
         #: Current stabilization depth (reconfigured per Vcc level).
         self._stabilization_cycles = 0
-        #: Shift registers; all-ones means "idle, value stable".
-        self._regs = [self._full_mask] * num_registers
-        #: Registers currently not all-ones (the only ones ticked).
-        self._busy: set[int] = set()
+        #: Ticks since construction; registers are stamped against it.
+        self._clock = 0
+        #: Time-ordered patterns; -1 (ones forever) is "idle, value stable".
+        self._timeline = [-1] * num_registers
+        #: Clock value at each register's last write.
+        self._stamp = [0] * num_registers
+        #: N -> {latency: timeline}, built on first use; latency 0 is the
+        #: long-latency completion tail.  ``_current`` is the entry for N.
+        self._patterns: dict[int, dict[int, int]] = {}
+        self._current = self._patterns.setdefault(0, {})
 
     # ------------------------------------------------------------------
     # Configuration
@@ -78,6 +90,7 @@ class Scoreboard:
                 f"{self.max_stabilization_cycles}]"
             )
         self._stabilization_cycles = stabilization_cycles
+        self._current = self._patterns.setdefault(stabilization_cycles, {})
 
     @property
     def max_encodable_latency(self) -> int:
@@ -107,9 +120,50 @@ class Scoreboard:
         bits |= (1 << position) - 1  # (IV) ones
         return bits
 
+    def _build_tail(self) -> int:
+        """Long-latency completion pattern, MSB first (Section 4.1.1)."""
+        bits = 0
+        position = self.width
+        for _ in range(max(1, self.bypass_levels)):  # on the bypass now
+            position -= 1
+            bits |= 1 << position
+        position -= self._stabilization_cycles
+        bits |= (1 << position) - 1
+        return bits
+
+    def _timeline_of(self, pattern: int) -> int:
+        """Time-ordered form of an MSB-first pattern (see module doc)."""
+        width = self.width
+        timeline = 0
+        for ticks in range(width):
+            if pattern >> (width - 1 - ticks) & 1:
+                timeline |= 1 << ticks
+        if pattern & 1:
+            timeline |= -1 << width  # the sticky LSB, forever
+        return timeline
+
+    def _timeline_for(self, latency: int) -> int:
+        """Timeline of a ``latency`` producer at the current N (latency 0:
+        the long-latency completion tail), built once."""
+        timeline = self._current.get(latency)
+        if timeline is None:
+            pattern = (self._build_tail() if latency == 0
+                       else self._build_pattern(latency))
+            timeline = self._current[latency] = self._timeline_of(pattern)
+        return timeline
+
+    def _value(self, reg: int) -> int:
+        """The register's current contents, MSB first."""
+        ticks = self._clock - self._stamp[reg]
+        timeline = self._timeline[reg]
+        value = 0
+        for position in range(self.width):
+            value = (value << 1) | (timeline >> (ticks + position) & 1)
+        return value
+
     def pattern_string(self, reg: int) -> str:
         """The register's bits as a string, MSB first (for tests/docs)."""
-        return format(self._regs[reg], f"0{self.width}b")
+        return format(self._value(reg), f"0{self.width}b")
 
     # ------------------------------------------------------------------
     # Pipeline interface
@@ -117,11 +171,37 @@ class Scoreboard:
 
     def is_ready(self, reg: int) -> bool:
         """May a consumer of ``reg`` issue this cycle? (MSB test)."""
-        return bool(self._regs[reg] & self._msb_mask)
+        return bool(self._timeline[reg] >> (self._clock - self._stamp[reg])
+                    & 1)
 
     def is_idle(self, reg: int) -> bool:
         """No in-flight write to ``reg`` (all-ones)."""
-        return self._regs[reg] == self._full_mask
+        return self._value(reg) == self._full_mask
+
+    def stamped_state(self) -> tuple[list[int], list[int], int]:
+        """``(timelines, stamps, clock)`` for the pipeline kernel's reads.
+
+        The lists are the live per-register state and must be treated as
+        read-only; ``clock`` is a snapshot.  While the clock stands at
+        ``c``, ``reg`` is ready iff ``timelines[reg] >> (c - stamps[reg])
+        & 1``, which is what :meth:`is_ready` computes -- the kernel
+        evaluates it inline to avoid a call per source operand.
+        """
+        return self._timeline, self._stamp, self._clock
+
+    def ticks_to_change(self, regs) -> int | None:
+        """Ticks until the MSB of any of ``regs`` flips, or ``None`` if
+        none will before the next write."""
+        soonest = None
+        for reg in regs:
+            ahead = self._timeline[reg] >> (self._clock - self._stamp[reg])
+            if ahead & 1:
+                ahead = ~ahead
+            if ahead:
+                ticks = (ahead & -ahead).bit_length() - 1
+                if soonest is None or ticks < soonest:
+                    soonest = ticks
+        return soonest
 
     def producer_issued(self, reg: int, latency: int) -> None:
         """A producer writing ``reg`` issued this cycle.
@@ -132,11 +212,13 @@ class Scoreboard:
         """
         if latency <= 0:
             raise PipelineError(f"producer latency must be positive: {latency}")
-        if latency > self.max_encodable_latency:
-            self._regs[reg] = 0
+        if latency >= self.baseline_bits:  # beyond max_encodable_latency
+            self._timeline[reg] = 0
         else:
-            self._regs[reg] = self._build_pattern(latency)
-        self._busy.add(reg)
+            timeline = self._current.get(latency)
+            self._timeline[reg] = (self._timeline_for(latency)
+                                   if timeline is None else timeline)
+        self._stamp[reg] = self._clock
 
     def long_latency_completed(self, reg: int) -> None:
         """The value of a long-latency producer is being written now.
@@ -146,35 +228,14 @@ class Scoreboard:
         N stabilization zeros, then ones (paper Section 4.1.1, adapted
         to IRAW in 4.1.2).
         """
-        n = self._stabilization_cycles
-        bits = 0
-        position = self.width
-        levels = max(1, self.bypass_levels)
-        for _ in range(levels):  # value on the result bus / bypass now
-            position -= 1
-            bits |= 1 << position
-        position -= n
-        bits |= (1 << position) - 1
-        self._regs[reg] = bits
-        if bits != self._full_mask:
-            self._busy.add(reg)
+        self._timeline[reg] = self._timeline_for(0)
+        self._stamp[reg] = self._clock
 
-    def tick(self) -> None:
-        """Shift every busy register left one position (sticky LSB)."""
-        if not self._busy:
-            return
-        full = self._full_mask
-        done = []
-        regs = self._regs
-        for reg in self._busy:
-            value = ((regs[reg] << 1) | (regs[reg] & 1)) & full
-            regs[reg] = value
-            if value == full:
-                done.append(reg)
-        self._busy.difference_update(done)
+    def tick(self, cycles: int = 1) -> None:
+        """Shift every register left ``cycles`` positions (sticky LSB)."""
+        self._clock += cycles
 
     def flush(self) -> None:
         """Drop all in-flight state (pipeline flush/drain)."""
-        for reg in self._busy:
-            self._regs[reg] = self._full_mask
-        self._busy.clear()
+        # In place: :meth:`stamped_state` hands out this list.
+        self._timeline[:] = [-1] * self.num_registers

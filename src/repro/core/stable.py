@@ -44,6 +44,10 @@ class MatchKind(str, Enum):
     SET_ONLY = "set_only"
 
 
+#: Bound once: an enum member lookup costs an attribute lookup each time.
+_NONE = MatchKind.NONE
+
+
 @dataclass(frozen=True)
 class StableLookup:
     """Outcome of a load's parallel STable probe."""
@@ -56,7 +60,11 @@ class StableLookup:
 
     @property
     def needs_repair(self) -> bool:
-        return self.kind is not MatchKind.NONE
+        return self.kind is not _NONE
+
+
+#: The common probe outcome, shared (the dataclass is frozen).
+_NO_MATCH = StableLookup(_NONE)
 
 
 @dataclass
@@ -151,7 +159,7 @@ class StoreTable:
     def lookup(self, address: int, cycle: int) -> StableLookup:
         """Probe on behalf of a load issued at ``cycle`` (Figure 10)."""
         if not self.enabled:
-            return StableLookup(MatchKind.NONE)
+            return _NO_MATCH
         self.lookups += 1
         word = self._word_address(address)
         set_index = self.set_index_of(address)
@@ -175,7 +183,7 @@ class StoreTable:
                         or entry.written_cycle < oldest_match_cycle):
                     oldest_match_cycle = entry.written_cycle
         if not matches:
-            return StableLookup(MatchKind.NONE)
+            return _NO_MATCH
         # Repair: replay every tracked store from the oldest matching one
         # onwards (they rewrite DL0 and refresh the STable, Figure 10).
         replayed = sum(

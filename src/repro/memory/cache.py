@@ -46,6 +46,11 @@ class AccessResult:
     data_ready: int = 0
 
 
+#: Shared results for the common outcomes (the dataclass is frozen).
+_HIT = AccessResult(hit=True)
+_MISS = AccessResult(hit=False)
+
+
 class Cache:
     """One level of set-associative cache (tag store only).
 
@@ -127,17 +132,18 @@ class Cache:
         refill arrives and calls :meth:`fill`.
         """
         self._use_counter += 1
-        index = self.set_index(address)
-        tag = self.tag_of(address)
-        line = self._sets[index].get(tag)
+        block = address // self.line_size  # set_index/tag_of, inlined
+        line = self._sets[block % self.num_sets].get(block // self.num_sets)
         if line is not None:
             line.stamp = self._use_counter
             if is_write:
                 line.dirty = True
             self.hits += 1
-            return AccessResult(hit=True, data_ready=line.ready_at)
+            if line.ready_at:
+                return AccessResult(hit=True, data_ready=line.ready_at)
+            return _HIT
         self.misses += 1
-        return AccessResult(hit=False)
+        return _MISS
 
     def fill(self, address: int, dirty: bool = False,
              ready_at: int = 0) -> AccessResult:
@@ -164,7 +170,7 @@ class Cache:
         if capacity <= 0:
             # Every way of this set is disabled: the line cannot be kept.
             self.evictions += 1
-            return AccessResult(hit=False)
+            return _MISS
         if len(lines) >= capacity:
             tags = list(lines.keys())
             stamps = [lines[t].stamp for t in tags]
@@ -176,6 +182,8 @@ class Cache:
                 writeback = (victim_tag * self.num_sets + index) * self.line_size
         lines[tag] = CacheLine(tag=tag, dirty=dirty,
                                stamp=self._use_counter, ready_at=ready_at)
+        if writeback is None:
+            return _MISS
         return AccessResult(hit=False, writeback_address=writeback)
 
     def invalidate(self, address: int) -> bool:

@@ -143,7 +143,9 @@ class MemorySystem:
         if il0_result.hit:
             ready = max(start + self.config.il0_hit_latency,
                         il0_result.data_ready)
-            return MemoryResponse(ready, tuple(fills), hit=not fills)
+            if not fills:
+                return MemoryResponse(ready)
+            return MemoryResponse(ready, tuple(fills), hit=False)
         line = self.il0.line_address(pc)
         merged = self.fetch_fill_buffers.outstanding(line, start)
         if merged is not None:
@@ -168,7 +170,9 @@ class MemorySystem:
         if dl0_result.hit:
             ready = max(start + self.config.dl0_hit_latency,
                         dl0_result.data_ready)
-            return MemoryResponse(ready, tuple(fills), hit=not fills)
+            if not fills:
+                return MemoryResponse(ready)
+            return MemoryResponse(ready, tuple(fills), hit=False)
         data_cycle = self._dl0_refill(address, start, dirty=False,
                                       fills=fills)
         return MemoryResponse(data_cycle, tuple(fills), hit=False)
@@ -185,7 +189,9 @@ class MemorySystem:
         store_result = self.dl0.access(address, is_write=True)
         if store_result.hit:
             ready = max(start + 1, store_result.data_ready)
-            return MemoryResponse(ready, tuple(fills), hit=not fills)
+            if not fills:
+                return MemoryResponse(ready)
+            return MemoryResponse(ready, tuple(fills), hit=False)
         data_cycle = self._dl0_refill(address, start, dirty=True,
                                       fills=fills)
         return MemoryResponse(data_cycle, tuple(fills), hit=False)

@@ -14,7 +14,13 @@ producer-consumer interactions resolve like hardware:
    when fetch is frozen (mispredict/end of trace) and the occupancy gate
    blocks issue, NOOPs are injected to drain the queue (Section 4.2);
 4. **fetch** — the front end pulls from the trace through IL0/ITLB/BP/RSB;
-5. **tick** — shift registers advance.
+5. **tick** — shift registers advance (O(1): they are stamped with the
+   cycle of their last write rather than shifted).
+
+A cycle in which no stage changes state and whose stall reason is in
+``_SKIPPABLE`` repeats exactly until the next event that can change it;
+the loop jumps there and charges the stall once per skipped cycle
+(README "Simulator kernel" lists the events).
 
 Micro-timing convention (matching the paper's Figure 7/8 example): a
 producer issued at cycle ``i`` with latency ``L`` forwards its result to
@@ -41,7 +47,7 @@ from repro.isa.opcodes import OpClass, Opcode
 from repro.isa.registers import NUM_REGISTERS
 from repro.isa.semantics import alu_result
 from repro.memory.hierarchy import MemoryConfig, MemorySystem
-from repro.pipeline.frontend import FrontEnd
+from repro.pipeline.frontend import NEVER, FrontEnd
 from repro.pipeline.lsu import LoadStoreUnit
 from repro.pipeline.regfile import BypassNetwork, RegisterFileModel
 from repro.pipeline.resources import FunctionalUnits, PipelineParams
@@ -50,6 +56,18 @@ from repro.workloads.trace import Trace
 
 #: Shared sentinel op for IQ-drain NOOP injection (Section 4.2).
 _INJECTED_NOOP = MicroOp(0, Opcode.NOP)
+
+#: Stall reasons of an idle cycle that the kernel may repeat without
+#: stepping: nothing in them depends on time except the wake events the
+#: skip in ``InOrderCore.run`` waits for.  Memory-side reasons have
+#: per-probe side effects (guard and repair counters), so those cycles
+#: are stepped.
+_SKIPPABLE = frozenset({
+    StallReason.FRONTEND_EMPTY,
+    StallReason.IQ_GATE,
+    StallReason.RF_DEPENDENCY,
+    StallReason.RF_IRAW_BUBBLE,
+})
 
 
 @dataclass
@@ -94,6 +112,9 @@ class InOrderCore:
             self._shadow.configure(0)
         self.iq_violations = 0
         self.value_mismatches = 0
+        #: Host-side counter: idle cycles charged without stepping the
+        #: loop (never part of the result, job keys or cache entries).
+        self.skipped_cycles = 0
 
     # ------------------------------------------------------------------
     # Public API
@@ -130,6 +151,36 @@ class InOrderCore:
 
         n_active = policy.stabilization_cycles
         max_encodable = scoreboard.max_encodable_latency
+        latencies = params.latencies
+        issue_slots = range(params.issue_window)
+        iq_size = params.iq_size
+        alloc_width = params.alloc_width
+        gate_on = gate.enabled
+        threshold = gate.threshold
+        # IQ entries read while still stabilizing are counted per cycle
+        # (only possible when an ablation disables the gate).
+        iq_watch = n_active > 0 and not gate_on
+        # Readiness is read inline from the stamped scoreboard state: at
+        # kernel cycle c a scoreboard's clock stands at its base + c.
+        timelines, stamps, sb_base = scoreboard.stamped_state()
+        boards = (scoreboard,)
+        if shadow is not None:
+            shadow_timelines, shadow_stamps, shadow_base = \
+                shadow.stamped_state()
+            boards = (scoreboard, shadow)
+        stall_cycles = stalls.cycles
+        tracker = self.tracker
+        # Enum members and globals cost a lookup each; bind them once.
+        frontend_empty = StallReason.FRONTEND_EMPTY
+        iq_gate = StallReason.IQ_GATE
+        rf_dependency = StallReason.RF_DEPENDENCY
+        rf_iraw_bubble = StallReason.RF_IRAW_BUBBLE
+        branch_class = OpClass.BRANCH
+        jmp = Opcode.JMP
+        injected_noop = _INJECTED_NOOP
+        buffer = frontend.buffer
+        fetch_capacity = params.fetch_buffer_size
+        fetch_at = frontend.wake_cycle()
         iq: deque[tuple[MicroOp, int]] = deque()
         completions: dict[int, list] = {}
         pending_write = [-1] * NUM_REGISTERS
@@ -151,18 +202,23 @@ class InOrderCore:
                     f"{trace.name}: exceeded {max_cycles} cycles "
                     f"({completed}/{total_ops} instructions done)"
                 )
+            # Did any stage change state this cycle?  If not, the next
+            # cycles repeat it until a wake event (see the skip below).
+            progressed = False
             # ---------------- 1. writeback ----------------
             records = completions.pop(cycle, None)
             if records:
+                progressed = True
                 for op, dest, value, long_latency in records:
                     if dest is not None:
                         if latest_writer[dest] == op.index:
-                            bypass.publish(dest,
-                                           value if value is not None else 0,
-                                           cycle)
-                            regfile.write(dest,
-                                          value if value is not None else 0,
-                                          cycle + 1)
+                            if check_values:
+                                bypass.publish(
+                                    dest, value if value is not None else 0,
+                                    cycle)
+                                regfile.write(
+                                    dest, value if value is not None else 0,
+                                    cycle + 1)
                             if long_latency:
                                 scoreboard.long_latency_completed(dest)
                                 if shadow is not None:
@@ -173,54 +229,53 @@ class InOrderCore:
                     if op.is_store:
                         lsu.commit_store(op, value, cycle)
                     if op.is_control:
-                        if op.opclass is OpClass.BRANCH \
-                                and op.opcode is not Opcode.JMP:
-                            self.tracker.update(op.pc, op.taken, cycle)
+                        if op.opclass is branch_class \
+                                and op.opcode is not jmp:
+                            tracker.update(op.pc, op.taken, cycle)
                         frontend.branch_resolved(op.index, cycle)
+                        if fetch_at == NEVER:  # frozen behind this branch?
+                            fetch_at = frontend.wake_cycle()
                     completed += 1
 
             # ---------------- 2. issue ----------------
-            units.begin_cycle(cycle)
             issued = 0
             reason: StallReason | None = None
             store_words: set[int] | None = None
-            for _ in range(params.issue_window):
+            now = sb_base + cycle
+            for _ in issue_slots:
                 if not iq:
                     if issued == 0 and completed < total_ops:
-                        reason = StallReason.FRONTEND_EMPTY
+                        reason = frontend_empty
                     break
-                if not gate.allows_issue(len(iq)):
-                    reason = StallReason.IQ_GATE
+                if gate_on and len(iq) < threshold:
+                    reason = iq_gate
                     break
                 op, alloc_cycle = iq[0]
-                injected = op is _INJECTED_NOOP
-                if n_active and not injected \
-                        and cycle - alloc_cycle <= n_active \
-                        and not gate.enabled:
-                    # Reading a still-stabilizing IQ entry (only possible
-                    # when the gate is disabled in an ablation).
-                    self.iq_violations += 1
-                if injected:
+                if op is injected_noop:
                     iq.popleft()
                     issued += 1
                     continue
+                if iq_watch and cycle - alloc_cycle <= n_active:
+                    # Reading a still-stabilizing IQ entry.
+                    self.iq_violations += 1
                 # Source readiness (scoreboard MSB, Figures 6-8).
                 blocked_src = False
                 for src in op.srcs:
-                    if not scoreboard.is_ready(src):
+                    if not timelines[src] >> (now - stamps[src]) & 1:
                         blocked_src = True
-                        if shadow is not None and shadow.is_ready(src):
-                            reason = StallReason.RF_IRAW_BUBBLE
+                        if shadow is not None and shadow_timelines[src] >> (
+                                shadow_base + cycle - shadow_stamps[src]) & 1:
+                            reason = rf_iraw_bubble
                             if op.index not in iraw_delayed:
                                 iraw_delayed.add(op.index)
                                 stalls.iraw_delayed_instructions += 1
                         else:
-                            reason = StallReason.RF_DEPENDENCY
+                            reason = rf_dependency
                         break
                 if blocked_src:
                     break
                 opclass = op.opclass
-                latency = params.latency_of(opclass)
+                latency = latencies[opclass]
                 # WAW write ordering (writes to a register must stay in
                 # program order; rare with mixed latencies).
                 dest = op.dest
@@ -228,7 +283,7 @@ class InOrderCore:
                         pending_write[dest] >= cycle + latency + 1:
                     reason = StallReason.WAW_ORDER
                     break
-                if not units.can_accept(opclass):
+                if not units.can_accept(opclass, cycle):
                     reason = StallReason.FU_BUSY
                     break
                 write_port_index = -1
@@ -286,7 +341,7 @@ class InOrderCore:
                     value = self._compute(op, operands)
                     if value != op.golden_result:
                         self.value_mismatches += 1
-                units.accept(opclass)
+                units.accept(opclass, cycle)
                 iq.popleft()
                 if dest is not None:
                     encode = (bypass_cycle - cycle) if not long_latency \
@@ -299,38 +354,86 @@ class InOrderCore:
                     if write_port_index >= 0:
                         write_ports[write_port_index] = (
                             bypass_cycle + 1 + write_cost)
-                completions.setdefault(bypass_cycle, []).append(
-                    (op, dest, value, long_latency))
+                bucket = completions.get(bypass_cycle)
+                if bucket is None:
+                    completions[bypass_cycle] = [(op, dest, value,
+                                                  long_latency)]
+                else:
+                    bucket.append((op, dest, value, long_latency))
                 issued += 1
-            if issued == 0 and reason is not None:
-                stalls.charge(reason)
+            if issued:
+                progressed = True
+            elif reason is not None:
+                stall_cycles[reason] += 1
 
             # ---------------- 3. allocate ----------------
-            free = params.iq_size - len(iq)
+            free = iq_size - len(iq)
             if free > 0:
-                incoming = frontend.pop_ready(cycle,
-                                              min(params.alloc_width, free))
-                for op in incoming:
-                    iq.append((op, cycle))
-                if gate.enabled and iq and len(iq) < gate.threshold:
+                # Move ready fetch-buffer entries into the IQ in place.
+                room = alloc_width if alloc_width < free else free
+                allocated = 0
+                while allocated < room and buffer and buffer[0][1] <= cycle:
+                    iq.append((buffer.popleft()[0], cycle))
+                    allocated += 1
+                if allocated:
+                    progressed = True
+                if gate_on and iq and len(iq) < threshold:
                     # Section 4.2 generalized: whenever allocation cannot
                     # keep occupancy at the Eq. 1 threshold (drains,
                     # redirects, fetch gaps), the allocator pads the queue
                     # with NOOP/invalid entries so older, already
                     # stabilized instructions are not gate-blocked.
-                    needed = min(params.alloc_width - len(incoming), free,
-                                 gate.threshold - len(iq))
-                    for _ in range(max(0, needed)):
-                        iq.append((_INJECTED_NOOP, cycle))
-                        stalls.injected_noops += 1
+                    needed = min(alloc_width - allocated, free,
+                                 threshold - len(iq))
+                    if needed > 0:
+                        progressed = True
+                        for _ in range(needed):
+                            iq.append((injected_noop, cycle))
+                        stalls.injected_noops += needed
 
             # ---------------- 4. fetch ----------------
-            frontend.tick(cycle)
+            if cycle >= fetch_at and len(buffer) < fetch_capacity:
+                frontend.tick(cycle)
+                fetch_at = frontend.wake_cycle()
+                progressed = True
 
-            # ---------------- 5. tick ----------------
-            scoreboard.tick()
-            if shadow is not None:
-                shadow.tick()
+            # ---------------- 5. tick (or skip) ----------------
+            if not progressed and reason in _SKIPPABLE:
+                # Nothing changed state, so the following cycles repeat
+                # this one until the first event that can change it.
+                wake = max_cycles + 1
+                if completions:
+                    wake = min(wake, min(completions))
+                if fetch_at < wake and len(buffer) < fetch_capacity:
+                    wake = fetch_at
+                if free > 0 and buffer and buffer[0][1] < wake:
+                    wake = buffer[0][1]
+                watched = False
+                if iq:
+                    op, alloc_cycle = iq[0]
+                    # Per-cycle IQ violations stop at the window's end.
+                    watched = iq_watch and cycle - alloc_cycle <= n_active
+                    if watched:
+                        wake = min(wake, alloc_cycle + n_active + 1)
+                    if reason is rf_dependency or reason is rf_iraw_bubble:
+                        # Which source blocks, and why, changes only with
+                        # an MSB flip on either scoreboard.
+                        for board in boards:
+                            ticks = board.ticks_to_change(op.srcs)
+                            if ticks is not None:
+                                wake = min(wake, cycle + ticks)
+                if wake > cycle + 1:
+                    repeats = wake - cycle - 1
+                    stall_cycles[reason] += repeats
+                    if watched:
+                        self.iq_violations += repeats
+                    self.skipped_cycles += repeats
+                    for board in boards:
+                        board.tick(repeats + 1)
+                    cycle = wake
+                    continue
+            for board in boards:
+                board.tick()
             cycle += 1
 
         return self._result(trace, completed, cycle, frontend, lsu, regfile)

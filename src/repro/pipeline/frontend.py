@@ -27,6 +27,11 @@ from repro.memory.hierarchy import MemorySystem
 from repro.pipeline.resources import PipelineParams
 
 
+#: ``FrontEnd.wake_cycle`` when fetch is frozen behind an unresolved
+#: branch or has nothing left to fetch.
+NEVER = 1 << 62
+
+
 class FrontEnd:
     """Fetches micro-ops from a trace into the allocation buffer."""
 
@@ -42,7 +47,9 @@ class FrontEnd:
         self._rsb = rsb
         self._il0_hit_latency = memory.config.il0_hit_latency
         self._next = 0
-        self._buffer: deque[tuple[MicroOp, int, bool]] = deque()
+        #: Fetched ops as (op, cycle it may allocate); the allocate stage
+        #: pops ready entries off the left in place.
+        self.buffer: deque[tuple[MicroOp, int]] = deque()
         self._stalled_until = 0
         #: Index of a mispredicted branch fetch is frozen behind, if any.
         self._blocked_on: int | None = None
@@ -54,37 +61,16 @@ class FrontEnd:
         self.guard_stall_cycles = 0
         self.rsb_determinism_stalls = 0
 
-    # ------------------------------------------------------------------
-    # State queries
-    # ------------------------------------------------------------------
+    def wake_cycle(self) -> int:
+        """Earliest cycle at which :meth:`tick` can change any state,
+        provided the buffer has room (a full buffer makes it a no-op).
 
-    @property
-    def exhausted(self) -> bool:
-        """No more ops will ever be delivered."""
-        return self._next >= len(self._ops) and not self._buffer
-
-    @property
-    def delivering(self) -> bool:
-        """Fetch is live (not frozen behind a mispredicted branch)."""
-        return self._blocked_on is None and self._next < len(self._ops)
-
-    @property
-    def blocked_on_branch(self) -> bool:
-        return self._blocked_on is not None
-
-    def pop_ready(self, cycle: int, count: int) -> list[MicroOp]:
-        """Up to ``count`` ops whose front-end latency has elapsed."""
-        ready: list[MicroOp] = []
-        while self._buffer and len(ready) < count:
-            op, ready_cycle, _ = self._buffer[0]
-            if ready_cycle > cycle:
-                break
-            ready.append(op)
-            self._buffer.popleft()
-        return ready
-
-    def was_mispredicted(self, op_index: int) -> bool:
-        return self._blocked_on == op_index
+        :data:`NEVER` while fetch is frozen behind a mispredicted branch
+        or the trace is exhausted.
+        """
+        if self._blocked_on is not None or self._next >= len(self._ops):
+            return NEVER
+        return self._stalled_until
 
     # ------------------------------------------------------------------
     # Branch resolution callback (from the execute/writeback stage)
@@ -105,16 +91,20 @@ class FrontEnd:
         """Fetch up to ``fetch_width`` ops into the buffer."""
         if self._blocked_on is not None or cycle < self._stalled_until:
             return
-        if len(self._buffer) >= self._params.fetch_buffer_size:
-            return
-        guards = self._policy.guards
+        params = self._params
+        buffer = self.buffer
+        # Each fetched op either fills a buffer slot or ends the cycle.
+        room = min(params.fetch_width,
+                   params.fetch_buffer_size - len(buffer))
+        ops = self._ops
+        total = len(ops)
+        ready_at = cycle + params.front_latency
         fetched = 0
-        while (fetched < self._params.fetch_width
-               and self._next < len(self._ops)
-               and len(self._buffer) < self._params.fetch_buffer_size):
-            op = self._ops[self._next]
+        while fetched < room and self._next < total:
+            op = ops[self._next]
             line = op.pc >> 6
             if line != self._current_line:
+                guards = self._policy.guards
                 release = guards["IL0"].blocked_until(cycle)
                 if release is None:
                     release = guards["ITLB"].blocked_until(cycle)
@@ -125,23 +115,21 @@ class FrontEnd:
                     self._stalled_until = release
                     return
                 response = self._memory.fetch(op.pc, cycle)
-                self._policy.arm_fill_guards(response.fills)
+                if response.fills:
+                    self._policy.arm_fill_guards(response.fills)
                 self._current_line = line
                 if response.ready_cycle > cycle + self._il0_hit_latency:
                     # Miss (or TLB walk): freeze fetch until the line is in.
                     self.icache_stall_starts += 1
                     self._stalled_until = response.ready_cycle
                     return
-            ready_at = cycle + self._params.front_latency
+            fetched += 1
             if op.is_control:
-                stop = self._handle_control(op, cycle, ready_at)
-                fetched += 1
-                if stop:
+                if self._handle_control(op, cycle, ready_at):
                     return
                 continue
-            self._buffer.append((op, ready_at, False))
+            buffer.append((op, ready_at))
             self._next += 1
-            fetched += 1
 
     def _handle_control(self, op: MicroOp, cycle: int, ready_at: int) -> bool:
         """Predict a control op; True if fetch must stop this cycle."""
@@ -159,7 +147,7 @@ class FrontEnd:
             mispredicted = self._predict_return(op, cycle)
             if mispredicted is None:  # determinism stall, retry next cycle
                 return True
-        self._buffer.append((op, ready_at, mispredicted))
+        self.buffer.append((op, ready_at))
         self._next += 1
         if mispredicted:
             self.mispredicts += 1
@@ -190,7 +178,3 @@ class FrontEnd:
         predicted, hazardous = self._rsb.pop(cycle, hazard_window)
         self._tracker.note_rsb_pop(hazardous=hazardous)
         return predicted != op.target
-
-    @property
-    def buffer_occupancy(self) -> int:
-        return len(self._buffer)

@@ -87,36 +87,46 @@ _DUAL_UNITS = {"alu"}
 
 
 class FunctionalUnits:
-    """Per-cycle issue-port and unpipelined-unit tracking."""
+    """Per-cycle issue-port and unpipelined-unit tracking.
+
+    Per-cycle issue counts are stamped with the cycle they belong to, so
+    nothing has to be reset as time passes: callers name the cycle.
+    """
 
     def __init__(self, params: PipelineParams):
-        self._params = params
+        #: opclass -> (unit, ops per cycle, unpipelined, latency), decoded
+        #: once; unit None needs no functional unit (NOPs).
+        self._decoded = {
+            opclass: (unit, 2 if unit in _DUAL_UNITS else 1,
+                      opclass in UNPIPELINED_CLASSES,
+                      params.latencies.get(opclass))
+            for opclass, unit in _UNIT_OF.items()
+        }
         self._busy_until: dict[str, int] = {}
-        self._issued_this_cycle: dict[str, int] = {}
-        self._cycle = -1
+        #: unit -> cycle of its last issue, and ops issued in that cycle.
+        self._stamp: dict[str, int] = {}
+        self._count: dict[str, int] = {}
 
-    def begin_cycle(self, cycle: int) -> None:
-        self._cycle = cycle
-        self._issued_this_cycle.clear()
-
-    def can_accept(self, opclass: OpClass) -> bool:
-        """Is the unit for ``opclass`` free this cycle?"""
-        unit = _UNIT_OF[opclass]
+    def can_accept(self, opclass: OpClass, cycle: int) -> bool:
+        """Is the unit for ``opclass`` free at ``cycle``?"""
+        unit, limit, unpipelined, _ = self._decoded[opclass]
         if unit is None:
             return True
-        limit = 2 if unit in _DUAL_UNITS else 1
-        if self._issued_this_cycle.get(unit, 0) >= limit:
+        if self._stamp.get(unit) == cycle and self._count[unit] >= limit:
             return False
-        if opclass in UNPIPELINED_CLASSES:
-            return self._busy_until.get(unit, -1) < self._cycle
+        if unpipelined:
+            return self._busy_until.get(unit, -1) < cycle
         return True
 
-    def accept(self, opclass: OpClass) -> None:
-        """Commit an issue to the unit for ``opclass``."""
-        unit = _UNIT_OF[opclass]
+    def accept(self, opclass: OpClass, cycle: int) -> None:
+        """Commit an issue at ``cycle`` to the unit for ``opclass``."""
+        unit, _, unpipelined, latency = self._decoded[opclass]
         if unit is None:
             return
-        self._issued_this_cycle[unit] = self._issued_this_cycle.get(unit, 0) + 1
-        if opclass in UNPIPELINED_CLASSES:
-            latency = self._params.latency_of(opclass)
-            self._busy_until[unit] = self._cycle + latency
+        if self._stamp.get(unit) == cycle:
+            self._count[unit] += 1
+        else:
+            self._stamp[unit] = cycle
+            self._count[unit] = 1
+        if unpipelined:
+            self._busy_until[unit] = cycle + latency

@@ -86,45 +86,38 @@ class TestFunctionalUnits:
 
     def test_two_alu_ops_per_cycle(self):
         units, _ = self.make()
-        units.begin_cycle(0)
-        assert units.can_accept(OpClass.INT_ALU)
-        units.accept(OpClass.INT_ALU)
-        assert units.can_accept(OpClass.INT_ALU)
-        units.accept(OpClass.INT_ALU)
-        assert not units.can_accept(OpClass.INT_ALU)
+        assert units.can_accept(OpClass.INT_ALU, 0)
+        units.accept(OpClass.INT_ALU, 0)
+        assert units.can_accept(OpClass.INT_ALU, 0)
+        units.accept(OpClass.INT_ALU, 0)
+        assert not units.can_accept(OpClass.INT_ALU, 0)
 
     def test_single_mul_per_cycle_but_pipelined(self):
         units, _ = self.make()
-        units.begin_cycle(0)
-        units.accept(OpClass.INT_MUL)
-        assert not units.can_accept(OpClass.INT_MUL)
-        units.begin_cycle(1)  # pipelined: next cycle is free
-        assert units.can_accept(OpClass.INT_MUL)
+        units.accept(OpClass.INT_MUL, 0)
+        assert not units.can_accept(OpClass.INT_MUL, 0)
+        # pipelined: next cycle is free
+        assert units.can_accept(OpClass.INT_MUL, 1)
 
     def test_divider_unpipelined(self):
         units, params = self.make()
         latency = params.latency_of(OpClass.INT_DIV)
-        units.begin_cycle(0)
-        units.accept(OpClass.INT_DIV)
-        units.begin_cycle(5)
-        assert not units.can_accept(OpClass.INT_DIV)
-        assert not units.can_accept(OpClass.FP_DIV)  # shared unit
-        units.begin_cycle(latency + 1)
-        assert units.can_accept(OpClass.INT_DIV)
+        units.accept(OpClass.INT_DIV, 0)
+        assert not units.can_accept(OpClass.INT_DIV, 5)
+        assert not units.can_accept(OpClass.FP_DIV, 5)  # shared unit
+        assert units.can_accept(OpClass.INT_DIV, latency + 1)
 
     def test_branches_share_alus(self):
         units, _ = self.make()
-        units.begin_cycle(0)
-        units.accept(OpClass.BRANCH)
-        units.accept(OpClass.INT_ALU)
-        assert not units.can_accept(OpClass.BRANCH)
+        units.accept(OpClass.BRANCH, 0)
+        units.accept(OpClass.INT_ALU, 0)
+        assert not units.can_accept(OpClass.BRANCH, 0)
 
     def test_nop_needs_no_unit(self):
         units, _ = self.make()
-        units.begin_cycle(0)
         for _ in range(5):
-            assert units.can_accept(OpClass.NOP)
-            units.accept(OpClass.NOP)
+            assert units.can_accept(OpClass.NOP, 0)
+            units.accept(OpClass.NOP, 0)
 
 
 class TestPipelineParams:

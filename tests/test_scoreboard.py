@@ -142,3 +142,95 @@ def test_readiness_window_property(latency, n, bypass):
         in_bypass = latency <= offset < latency + bypass
         past_bubble = offset >= latency + bypass + n
         assert ready == (in_bypass or past_bubble), (offset, timeline)
+
+
+# ----------------------------------------------------------------------
+# Stamped state: lazy shifting equals per-cycle shifting
+# ----------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(latency=st.integers(min_value=1, max_value=12),
+       n=st.integers(min_value=0, max_value=2),
+       bypass=st.integers(min_value=0, max_value=2),
+       complete_after=st.one_of(st.none(), st.integers(0, 12)),
+       k=st.integers(min_value=0, max_value=40))
+def test_tick_k_equals_k_single_ticks(latency, n, bypass, complete_after, k):
+    """``tick(k)`` leaves every register exactly where ``k`` calls of
+    ``tick()`` do, on the encodable and the long-latency paths."""
+    boards = [make_scoreboard(n=n, baseline_bits=6, bypass=bypass, max_n=2)
+              for _ in range(2)]
+    for board in boards:
+        board.producer_issued(reg=2, latency=latency)
+        if complete_after is not None:
+            board.tick(complete_after)
+            board.long_latency_completed(2)
+    bulk, single = boards
+    bulk.tick(k)
+    for _ in range(k):
+        single.tick()
+    for reg in range(bulk.num_registers):
+        assert bulk.pattern_string(reg) == single.pattern_string(reg)
+        assert bulk.is_ready(reg) == single.is_ready(reg)
+        assert bulk.is_idle(reg) == single.is_idle(reg)
+
+
+_OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.just("issue"), st.integers(0, 3), st.integers(1, 9)),
+    st.tuples(st.just("complete"), st.integers(0, 3), st.just(0)),
+    st.tuples(st.just("tick"), st.integers(0, 12), st.just(0)),
+    st.tuples(st.just("configure"), st.integers(0, 2), st.just(0)),
+    st.tuples(st.just("flush"), st.just(0), st.just(0)),
+), max_size=40)
+
+
+def _apply(board, operation, single_ticks: bool) -> None:
+    name, arg, latency = operation
+    if name == "issue":
+        board.producer_issued(arg, latency)
+    elif name == "complete":
+        board.long_latency_completed(arg)
+    elif name == "tick":
+        if single_ticks:
+            for _ in range(arg):
+                board.tick()
+        else:
+            board.tick(arg)
+    elif name == "configure":
+        board.configure(arg)
+    else:
+        board.flush()
+
+
+@settings(max_examples=80, deadline=None)
+@given(operations=_OPERATIONS, bypass=st.integers(min_value=0, max_value=2))
+def test_stamped_scoreboard_matches_shift_registers(operations, bypass):
+    """Any sequence of writes, ticks, reconfigurations and flushes leaves
+    the stamped scoreboard bit-equal to per-cycle shift registers, and
+    ``ticks_to_change`` predicts the next MSB flip exactly."""
+    from pipeline_oracle import ShiftRegisterScoreboard
+
+    stamped = Scoreboard(num_registers=4, bypass_levels=bypass)
+    shifting = ShiftRegisterScoreboard(num_registers=4, bypass_levels=bypass)
+    for operation in operations:
+        _apply(stamped, operation, single_ticks=False)
+        _apply(shifting, operation, single_ticks=True)
+        for reg in range(4):
+            assert stamped.pattern_string(reg) == shifting.pattern_string(reg)
+            assert stamped.is_ready(reg) == shifting.is_ready(reg)
+    for reg in range(4):
+        predicted = stamped.ticks_to_change((reg,))
+        probe = ShiftRegisterScoreboard(num_registers=4,
+                                        bypass_levels=bypass)
+        for operation in operations:
+            _apply(probe, operation, single_ticks=True)
+        ready = probe.is_ready(reg)
+        flip = None
+        for ticks in range(1, 2 * probe.width):
+            probe.tick()
+            if probe.is_ready(reg) != ready:
+                flip = ticks
+                break
+        assert predicted == flip
+    singles = [stamped.ticks_to_change((reg,)) for reg in range(4)]
+    assert stamped.ticks_to_change(range(4)) == min(
+        (ticks for ticks in singles if ticks is not None), default=None)
