@@ -3,7 +3,9 @@
 Times the same yield campaign through both planning shapes — legacy
 one-``mc-die``-job-per-die and vectorized ``mc-block`` jobs — on a
 serial, cache-less runner, checks the reduced ``yield_curve`` rows are
-identical, and writes a ``BENCH_mc.json`` record::
+identical, times one ``yield_curve_rows`` pass over the blocked leg's
+resolved results (``reduce_s``, the reduction layer alone), and writes
+a ``BENCH_mc.json`` record::
 
     python benchmarks/mc_scaling.py --dies 10000 --block 4096 \
         --out benchmarks/results/BENCH_mc.json
@@ -31,6 +33,7 @@ from repro.api import (
     MonteCarloSpec,
     ParallelRunner,
 )
+from repro.montecarlo.campaign import yield_curve_rows
 
 #: Dies of the bit-equality cross-check (both paths, always run).
 EQUALITY_DIES = 256
@@ -49,13 +52,25 @@ def campaign_spec(dies: int, block: int | None, vcc: list[float],
 
 
 def run_campaign(dies: int, block: int | None, vcc, schemes, seed):
-    """One serial, cache-less campaign: (elapsed_s, yield_curve rows)."""
+    """One serial, cache-less campaign: (elapsed_s, yield_curve rows,
+    the experiment)."""
     spec = campaign_spec(dies, block, vcc, schemes, seed)
     experiment = Experiment(spec, runner=ParallelRunner(workers=1))
     start = time.perf_counter()
     experiment.run()
     rows = experiment.artifact("yield_curve")
-    return time.perf_counter() - start, rows
+    return time.perf_counter() - start, rows, experiment
+
+
+def reduce_seconds(experiment: Experiment) -> float:
+    """One ``yield_curve_rows`` pass over the resolved results."""
+    spec = experiment.spec
+    mc = spec.montecarlo
+    results = experiment.mc_results()
+    start = time.perf_counter()
+    yield_curve_rows(results, spec.grid(), spec.schemes, mc.dies,
+                     mc.confidence, importance=mc.importance)
+    return time.perf_counter() - start
 
 
 def main(argv=None) -> int:
@@ -84,16 +99,17 @@ def main(argv=None) -> int:
     # Bit-equality cross-check on a small common slice first: the
     # speedup number is meaningless if the paths disagree.
     check = min(EQUALITY_DIES, args.dies)
-    _, die_rows = run_campaign(check, None, args.vcc, args.schemes,
-                               args.seed)
-    _, block_rows = run_campaign(check, min(args.block, check), args.vcc,
-                                 args.schemes, args.seed)
+    _, die_rows, _ = run_campaign(check, None, args.vcc, args.schemes,
+                                  args.seed)
+    _, block_rows, _ = run_campaign(check, min(args.block, check),
+                                    args.vcc, args.schemes, args.seed)
     rows_equal = die_rows == block_rows
 
-    per_die_s, _ = run_campaign(compare_dies, None, args.vcc,
-                                args.schemes, args.seed)
-    blocked_s, _ = run_campaign(args.dies, args.block, args.vcc,
-                                args.schemes, args.seed)
+    per_die_s, _, _ = run_campaign(compare_dies, None, args.vcc,
+                                   args.schemes, args.seed)
+    blocked_s, _, blocked = run_campaign(args.dies, args.block, args.vcc,
+                                         args.schemes, args.seed)
+    reduce_s = reduce_seconds(blocked)
 
     per_die_rate = compare_dies / per_die_s
     blocked_rate = args.dies / blocked_s
@@ -106,6 +122,7 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "per_die_s": round(per_die_s, 3),
         "blocked_s": round(blocked_s, 3),
+        "reduce_s": round(reduce_s, 4),
         "per_die_dies_per_s": round(per_die_rate, 1),
         "blocked_dies_per_s": round(blocked_rate, 1),
         "speedup": round(blocked_rate / per_die_rate, 2),

@@ -272,7 +272,7 @@ def _montecarlo_rows(experiment, reducer):
 
     Shared adapter for the ``yield_curve``, ``vccmin_dist`` and
     ``deep_tail`` builds: :meth:`Experiment.mc_results` memoizes the
-    resolved batch, so the builds only stream the reduction — no job
+    resolved batch, so the builds only run the reduction — no job
     rebuilding, no re-submission — and ``yield_curve`` reuses the
     reduction the ``mc-yield`` records already made
     (:meth:`Experiment.mc_yield_rows`).

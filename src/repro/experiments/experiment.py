@@ -244,8 +244,8 @@ class Experiment:
         """The ``yield_curve`` reduction of :meth:`mc_results`.
 
         Reduced once per :meth:`run` and shared by the ``mc-yield``
-        records and the ``yield_curve`` artifact, so the Welford
-        streams pass over the dies once.  Callers get copies of the
+        records and the ``yield_curve`` artifact, so the column
+        reductions pass over the dies once.  Callers get copies of the
         rows: editing one cannot reach the shared result.
         """
         if self._mc_yield_rows is None:
@@ -264,9 +264,10 @@ class Experiment:
     def _mc_records(self) -> list[Record]:
         """Aggregate yield rows plus one Vccmin row per (scheme, die).
 
-        The reducers stream over the resolved results with O(dies)
-        state.  Campaigns beyond :data:`_PER_DIE_RECORD_LIMIT` dies
-        keep only the aggregate records (see the limit's note).
+        The reducers work on one (Vcc, scheme) group of the resolved
+        results at a time, with O(dies) state.  Campaigns beyond
+        :data:`_PER_DIE_RECORD_LIMIT` dies keep only the aggregate
+        records (see the limit's note).
         """
         mc = self.spec.montecarlo
         if mc is None:

@@ -15,10 +15,10 @@ Each sampled (die, Vcc, scheme) point is an ordinary engine job (kind
 ``mc-die``): the die seed is folded into the canonical job key, so
 deduplication, on-disk caching and all three execution backends work
 unchanged, and a 256-die campaign turns every grid point into hundreds
-of independently cacheable units.  Reduction is streaming
+of independently cacheable units.  Reduction works one (Vcc, scheme)
+group at a time on die-order column arrays
 (:mod:`repro.montecarlo.stats`): yields with Wilson confidence
-intervals, per-die Vccmin distributions, and frequency-bin statistics,
-never materialising per-die populations beyond O(dies) aggregates.
+intervals, per-die Vccmin distributions, and frequency-bin statistics.
 
 Layering: :mod:`repro.montecarlo.sampling` sits beside ``circuits``
 (imported lazily by the engine executor); :mod:`repro.montecarlo.spec`
@@ -48,9 +48,9 @@ from repro.montecarlo.sampling import (
 from repro.montecarlo.spec import MonteCarloSpec
 from repro.montecarlo.stats import (
     DiscreteDistribution,
-    StreamingStats,
-    WeightedIndicator,
-    WeightedStats,
+    WeightedProportion,
+    moments,
+    weighted_moments,
     weighted_wilson_interval,
     wilson_interval,
 )
@@ -63,16 +63,16 @@ __all__ = [
     "ImportanceSpec",
     "MonteCarloConfig",
     "MonteCarloSpec",
-    "StreamingStats",
-    "WeightedIndicator",
-    "WeightedStats",
+    "WeightedProportion",
     "deep_tail_rows",
     "evaluate_die_point",
+    "moments",
     "montecarlo_jobs",
     "per_die_rows",
     "sample_die",
     "shifted_offset",
     "vccmin_rows",
+    "weighted_moments",
     "weighted_wilson_interval",
     "wilson_interval",
     "yield_curve_rows",

@@ -1,14 +1,19 @@
-"""Campaign planning and streaming reduction for die sampling.
+"""Campaign planning and array-at-a-time reduction for die sampling.
 
 :func:`montecarlo_jobs` compiles a :class:`MonteCarloSpec` against a
-Vcc grid and scheme list into one flat batch of ``mc-die`` engine jobs
-— one per (Vcc, scheme, die), in that nesting order.  Each job's
-canonical key derives from the campaign's physics config plus the die
-index, so every die at every grid point is an independently cacheable,
-dedupable, backend-agnostic unit.
+Vcc grid and scheme list into the campaign's engine jobs in plan
+order: one ``mc-die`` job per (Vcc, scheme, die), or, with a block
+size, one vectorized ``mc-block`` job per (Vcc, scheme, contiguous die
+span).  Each job's canonical key derives from the campaign's physics
+config plus its die index or span, so every unit is independently
+cacheable, dedupable and backend-agnostic.
 
-The reducers consume the result sequence *in plan order* and fold it
-with streaming accumulators (O(grid x schemes + dies) state):
+The reducers consume the result sequence *in plan order*, one
+(Vcc, scheme) group at a time: :func:`_grouped` turns each group into
+:class:`DieColumns` (block arrays concatenated and per-die results
+stacked, in die order), and every statistic is a NumPy reduction over
+those columns under the contract documented in
+:mod:`repro.montecarlo.stats`:
 
 * :func:`yield_curve_rows` — functional and frequency (top-bin) yield
   per (Vcc, scheme) with Wilson confidence intervals, plus
@@ -22,6 +27,7 @@ with streaming accumulators (O(grid x schemes + dies) state):
 from __future__ import annotations
 
 import math
+from itertools import groupby
 
 import numpy as np
 
@@ -33,9 +39,10 @@ from repro.montecarlo.sampling import DieBlockResult
 from repro.montecarlo.spec import MonteCarloSpec
 from repro.montecarlo.stats import (
     DiscreteDistribution,
-    StreamingStats,
-    WeightedIndicator,
-    WeightedStats,
+    WeightedProportion,
+    importance_weights,
+    moments,
+    weighted_moments,
     weighted_wilson_interval,
     wilson_interval,
 )
@@ -87,20 +94,56 @@ def montecarlo_jobs(mc: MonteCarloSpec, grid, schemes,
     ]
 
 
-def _result_dies(result) -> int:
-    """How many dies one result item carries (block vs single die)."""
-    return result.dies if isinstance(result, DieBlockResult) else 1
+#: The result fields the reducers read, with their column dtypes.
+_COLUMN_DTYPES = {
+    "functional": bool,
+    "meets_design": bool,
+    "die_frequency_mhz": np.float64,
+    "slowdown": np.float64,
+    "worst_sigma": np.float64,
+    "log_weight": np.float64,
+}
+
+
+class DieColumns:
+    """One (Vcc, scheme) group's results, read as die-order columns.
+
+    ``columns[name]`` is one result field (a :class:`DieBlockResult`
+    array name, equally a :class:`DiePointResult` field) over the whole
+    group: block arrays are concatenated as they are, each run of
+    per-die results is stacked into one array first.  Every read
+    gathers a fresh array, so a reducer holds only the columns it is
+    working on (a 100k-die float column is 800 KB), never the group's
+    full set.
+    """
+
+    def __init__(self, group: list) -> None:
+        self._group = group
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        dtype = _COLUMN_DTYPES[name]
+        parts = [np.empty(0, dtype)]
+        for is_block, run in groupby(
+                self._group,
+                key=lambda item: isinstance(item, DieBlockResult)):
+            if is_block:
+                parts.extend(getattr(item, name) for item in run)
+            else:
+                parts.append(np.array([getattr(item, name) for item in run],
+                                      dtype=dtype))
+        return np.concatenate(parts)
 
 
 def _grouped(results, grid, schemes, dies: int):
-    """Yield ``(vcc, scheme, one_group_list)`` in plan order.
+    """Yield ``(vcc, scheme, DieColumns)`` in plan order.
 
     Items are either per-die results or whole :class:`DieBlockResult`
     batches; a group is complete once its items cover ``dies`` dies.
-    Groups are materialized one at a time (tiny), so a partially
-    consumed group can never shift later (vcc, scheme) labels, and a
-    results sequence that does not match the campaign shape fails with
-    an explicit error instead of a mid-stream ``StopIteration``.
+    Groups are gathered and reduced one at a time, so only one group's
+    columns are alive at once, a partially consumed group can never
+    shift later (vcc, scheme) labels, and a results sequence that does
+    not match the campaign shape fails with an explicit error instead
+    of a mid-stream ``StopIteration``.
     """
     iterator = iter(results)
     for vcc in grid:
@@ -112,12 +155,13 @@ def _grouped(results, grid, schemes, dies: int):
                 if item is None:
                     break
                 group.append(item)
-                covered += _result_dies(item)
+                covered += item.dies \
+                    if isinstance(item, DieBlockResult) else 1
             if covered != dies:
                 raise ConfigError(
                     f"montecarlo reduction expected {dies} die results "
                     f"for ({vcc:g} mV, {scheme}), got {covered}")
-            yield vcc, scheme, group
+            yield vcc, scheme, DieColumns(group)
     leftover = next(iterator, None)
     if leftover is not None:
         raise ConfigError(
@@ -129,7 +173,7 @@ def _grouped(results, grid, schemes, dies: int):
 def yield_curve_rows(results, grid, schemes, dies: int,
                      confidence: float = 0.95,
                      importance=None) -> list[dict]:
-    """Functional and frequency yield per (Vcc, scheme), streaming.
+    """Functional and frequency yield per (Vcc, scheme).
 
     ``results`` must be the :func:`montecarlo_jobs` results in plan
     order (the runner returns them that way).  With ``importance`` set
@@ -137,55 +181,17 @@ def yield_curve_rows(results, grid, schemes, dies: int,
     ``ess_warn`` threshold) each row additionally carries the
     importance-sampled columns: self-normalized weighted yields with
     Wilson intervals at the Kish effective sample size, the ESS
-    diagnostics, and weighted frequency/slowdown moments.  At shift 0
+    diagnostics, and weighted frequency/slowdown means.  At shift 0
     every weight is exactly 1.0 and the weighted columns are
     bit-identical to their unweighted counterparts.
     """
-    weighted = importance is not None
     rows = []
-    for vcc, scheme, group in _grouped(results, grid, schemes, dies):
-        functional = meets = 0
-        frequency = StreamingStats()
-        slowdown = StreamingStats()
-        if weighted:
-            w_functional = WeightedIndicator()
-            w_meets = WeightedIndicator()
-            w_frequency = WeightedStats()
-            w_slowdown = WeightedStats()
-        for result in group:
-            if isinstance(result, DieBlockResult):
-                # Counts are order-free exact sums; the Welford streams
-                # consume the arrays in die order, bit-identical to
-                # per-die add() calls.
-                functional += int(result.functional.sum())
-                meets += int(result.meets_design.sum())
-                frequency.extend(result.die_frequency_mhz.tolist())
-                slowdown.extend(result.slowdown.tolist())
-                if weighted:
-                    values = zip(result.functional.tolist(),
-                                 result.meets_design.tolist(),
-                                 result.die_frequency_mhz.tolist(),
-                                 result.slowdown.tolist(),
-                                 result.log_weight.tolist())
-                    for is_f, is_m, freq, slow, log_weight in values:
-                        weight = math.exp(log_weight)
-                        w_functional.add(is_f, weight)
-                        w_meets.add(is_m, weight)
-                        w_frequency.add(freq, weight)
-                        w_slowdown.add(slow, weight)
-            else:
-                functional += bool(result.functional)
-                meets += bool(result.meets_design)
-                frequency.add(result.die_frequency_mhz)
-                slowdown.add(result.slowdown)
-                if weighted:
-                    weight = math.exp(result.log_weight)
-                    w_functional.add(bool(result.functional), weight)
-                    w_meets.add(bool(result.meets_design), weight)
-                    w_frequency.add(result.die_frequency_mhz, weight)
-                    w_slowdown.add(result.slowdown, weight)
+    for vcc, scheme, columns in _grouped(results, grid, schemes, dies):
+        functional = int(np.count_nonzero(columns["functional"]))
+        meets = int(np.count_nonzero(columns["meets_design"]))
         f_low, f_high = wilson_interval(functional, dies, confidence)
         d_low, d_high = wilson_interval(meets, dies, confidence)
+        slowdown = moments(columns["slowdown"])
         row = {
             "vcc_mv": float(vcc),
             "scheme": str(scheme),
@@ -196,11 +202,16 @@ def yield_curve_rows(results, grid, schemes, dies: int,
             "frequency_yield": meets / dies,
             "frequency_low": d_low,
             "frequency_high": d_high,
-            **frequency.as_dict("frequency_mhz_"),
-            "slowdown_mean": slowdown.mean,
-            "slowdown_max": slowdown.maximum,
+            **moments(columns["die_frequency_mhz"], "frequency_mhz_"),
+            "slowdown_mean": slowdown["mean"],
+            "slowdown_max": slowdown["max"],
         }
-        if weighted:
+        if importance is not None:
+            weights = importance_weights(columns["log_weight"])
+            w_functional = WeightedProportion.of(columns["functional"],
+                                                 weights)
+            w_meets = WeightedProportion.of(columns["meets_design"],
+                                            weights)
             ess = w_functional.ess
             warn_low_ess(ess, dies, importance.ess_warn, vcc, scheme)
             wf_low, wf_high = weighted_wilson_interval(
@@ -216,51 +227,34 @@ def yield_curve_rows(results, grid, schemes, dies: int,
                 "weighted_frequency_high": wd_high,
                 "ess": ess,
                 "ess_fraction": ess / dies,
-                "weighted_frequency_mhz_mean": w_frequency.mean,
-                "weighted_slowdown_mean": w_slowdown.mean,
+                "weighted_frequency_mhz_mean": weighted_moments(
+                    columns["die_frequency_mhz"], weights)["mean"],
+                "weighted_slowdown_mean": weighted_moments(
+                    columns["slowdown"], weights)["mean"],
             })
         rows.append(row)
     return rows
 
 
-def _fold_vccmin(results, grid, schemes, dies: int,
-                 with_sigma: bool = False):
-    """Per-scheme Vccmin lists (index = die), plus the worst sigmas.
+def _fold_vccmin(results, grid, schemes, dies: int):
+    """Per-scheme Vccmin arrays (index = die), plus the worst sigmas.
 
     A die's Vccmin is the lowest grid Vcc where it is functional; a die
-    functional nowhere on the grid is *censored* (``None``) and is
-    reported as a count, not a fake number.  State is O(dies) per
-    scheme — the per-point results are consumed as a stream, blocks
-    through their functional indices.  ``with_sigma`` also collects
-    each die's worst sigma (vcc-independent, so the first grid point
-    supplies it); otherwise the second value is ``None``.
+    functional nowhere on the grid is *censored* and keeps the ``inf``
+    sentinel, which the row builders report as a count or ``None``,
+    never as a number.  The worst sigmas (vcc-independent, so the
+    first group supplies them) are the die-order ``worst_sigma``
+    column.
     """
     best = {str(s): np.full(dies, math.inf) for s in schemes}
-    sigma = [0.0] * dies if with_sigma else None
-    first_group = True
-    for vcc, scheme, group in _grouped(results, grid, schemes, dies):
+    sigma = None
+    for vcc, scheme, columns in _grouped(results, grid, schemes, dies):
+        if sigma is None:
+            sigma = columns["worst_sigma"]
         per_die = best[str(scheme)]
-        vcc = float(vcc)
-        die = 0  # plan order = die order, blocks included
-        for result in group:
-            if isinstance(result, DieBlockResult):
-                span = slice(die, die + result.dies)
-                if first_group and with_sigma:
-                    sigma[span] = result.worst_sigma.tolist()
-                functional = np.flatnonzero(result.functional) + die
-                per_die[functional] = np.minimum(per_die[functional], vcc)
-                die += result.dies
-                continue
-            if first_group and with_sigma:
-                sigma[die] = result.worst_sigma
-            if result.functional and vcc < per_die[die]:
-                per_die[die] = vcc
-            die += 1
-        first_group = False
-    vccmin = {scheme: [None if value == math.inf else value
-                       for value in values.tolist()]
-              for scheme, values in best.items()}
-    return vccmin, sigma
+        np.minimum(per_die, np.where(columns["functional"], float(vcc),
+                                     math.inf), out=per_die)
+    return best, sigma
 
 
 def vccmin_rows(results, grid, schemes, dies: int) -> list[dict]:
@@ -269,19 +263,13 @@ def vccmin_rows(results, grid, schemes, dies: int) -> list[dict]:
     floor = min(float(v) for v in grid)
     rows = []
     for scheme in schemes:
-        distribution = DiscreteDistribution()
-        censored = 0
-        at_floor = 0
-        for value in vccmin[str(scheme)]:
-            if value is None:
-                censored += 1
-                continue
-            distribution.add(value)
-            at_floor += value <= floor
+        values = vccmin[str(scheme)]
+        observed = values[np.isfinite(values)]
+        distribution = DiscreteDistribution(observed)
         rows.append({
             "scheme": str(scheme),
             "dies": dies,
-            "censored": censored,
+            "censored": dies - observed.size,
             "vccmin_mean_mv": distribution.mean,
             "vccmin_std_mv": distribution.std,
             "vccmin_p10_mv": distribution.percentile(10.0),
@@ -289,7 +277,8 @@ def vccmin_rows(results, grid, schemes, dies: int) -> list[dict]:
             "vccmin_p90_mv": distribution.percentile(90.0),
             "vccmin_min_mv": distribution.minimum,
             "vccmin_max_mv": distribution.maximum,
-            "yield_at_floor": at_floor / dies,
+            "yield_at_floor":
+                int(np.count_nonzero(observed <= floor)) / dies,
         })
     return rows
 
@@ -301,16 +290,16 @@ def per_die_rows(results, grid, schemes, dies: int) -> list[dict]:
     ``vccmin_mv = None`` — ``null`` in JSON, an empty CSV cell — never
     a NaN token that would make the JSON export unparseable.
     """
-    vccmin, sigma = _fold_vccmin(results, grid, schemes, dies,
-                                 with_sigma=True)
+    vccmin, sigma = _fold_vccmin(results, grid, schemes, dies)
+    sigma = sigma.tolist()
     return [
         {
             "scheme": str(scheme),
             "die": die,
-            "vccmin_mv": value,
-            "censored": value is None,
+            "vccmin_mv": None if value == math.inf else value,
+            "censored": value == math.inf,
             "worst_sigma": sigma[die],
         }
         for scheme in schemes
-        for die, value in enumerate(vccmin[str(scheme)])
+        for die, value in enumerate(vccmin[str(scheme)].tolist())
     ]

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 from repro.errors import ConfigError
-from repro.montecarlo.stats import WeightedIndicator
+from repro.montecarlo.stats import WeightedProportion, importance_weights
 
 _STANDARD_NORMAL = NormalDist()
 
@@ -192,7 +192,7 @@ def _log10_or_none(probability: float) -> float | None:
 
 def deep_tail_rows(results, grid, schemes, dies: int, importance,
                    confidence: float = 0.95) -> list[dict]:
-    """Per-(Vcc, scheme) deep-tail failure probabilities, streaming.
+    """Per-(Vcc, scheme) deep-tail failure probabilities.
 
     The importance-sampled counterpart of
     :func:`repro.montecarlo.campaign.yield_curve_rows`, reporting the
@@ -201,33 +201,20 @@ def deep_tail_rows(results, grid, schemes, dies: int, importance,
     log10 magnitudes (``None`` where no failure mass was observed),
     and the ESS diagnostics that qualify them.  ``results`` must be
     the campaign results in plan order; per-die and ``mc-block``
-    shapes reduce identically (weights are ``exp`` of the bit-equal
-    per-die log weights, folded in die order).
+    shapes reduce identically (both become the same die-order weight
+    column before any sum).
     """
     # Lazy import: campaign imports this module for the ESS warning.
     from repro.montecarlo.campaign import _grouped
-    from repro.montecarlo.sampling import DieBlockResult
 
     if importance is None:
         raise ConfigError("deep_tail needs a [montecarlo.importance] "
                           "section")
     rows = []
-    for vcc, scheme, group in _grouped(results, grid, schemes, dies):
-        functional = WeightedIndicator()
-        meets = WeightedIndicator()
-        for result in group:
-            if isinstance(result, DieBlockResult):
-                values = zip(result.functional.tolist(),
-                             result.meets_design.tolist(),
-                             result.log_weight.tolist())
-                for is_functional, meets_design, log_weight in values:
-                    weight = math.exp(log_weight)
-                    functional.add(not is_functional, weight)
-                    meets.add(not meets_design, weight)
-            else:
-                weight = math.exp(result.log_weight)
-                functional.add(not result.functional, weight)
-                meets.add(not result.meets_design, weight)
+    for vcc, scheme, columns in _grouped(results, grid, schemes, dies):
+        weights = importance_weights(columns["log_weight"])
+        functional = WeightedProportion.of(~columns["functional"], weights)
+        meets = WeightedProportion.of(~columns["meets_design"], weights)
         ess = functional.ess
         warn_low_ess(ess, dies, importance.ess_warn, vcc, scheme)
         f_low, f_high = functional.interval(confidence)

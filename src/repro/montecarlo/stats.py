@@ -1,119 +1,162 @@
-"""Streaming statistics for die-sample reductions.
+"""Array-at-a-time statistics for die-sample reductions.
 
-Campaign reducers fold thousands of per-die results into aggregates
-without materialising the raw values: :class:`StreamingStats` is a
-Welford accumulator (mean/std/min/max in O(1) memory),
-:class:`DiscreteDistribution` counts values drawn from a small known
-set (per-die Vccmin lives on the campaign's Vcc grid) and answers
-exact nearest-rank percentiles from the counts, and
-:func:`wilson_interval` puts a confidence interval on yield fractions
-— the Wilson score interval, which stays inside [0, 1] and behaves at
+Campaign reducers hand every (Vcc, scheme) group to this module as
+column arrays in die order (one float64 or bool array per result
+field), and each statistic is one NumPy reduction over a column:
+:func:`moments` (count-normalised mean/std/min/max),
+:class:`DiscreteDistribution` (exact nearest-rank percentiles from
+value counts — per-die Vccmin lives on the campaign's Vcc grid), and
+:func:`wilson_interval`, a confidence interval on yield fractions —
+the Wilson score interval, which stays inside [0, 1] and behaves at
 the 0%/100% yields small campaigns actually produce.
 
 The weighted variants serve the importance-sampled deep-tail
-estimator: :class:`WeightedStats` (weighted Welford moments that
-degenerate bit-identically to :class:`StreamingStats` at unit
-weights), :class:`WeightedIndicator` (self-normalized probability
-estimate with delta-method variance and Kish effective sample size)
-and :func:`weighted_wilson_interval` (the Wilson score at an effective
-sample size).
+estimator: :func:`importance_weights` (``exp`` of the per-die log
+weights), :func:`weighted_moments`, :class:`WeightedProportion`
+(self-normalized probability estimate with delta-method variance and
+Kish effective sample size) and :func:`weighted_wilson_interval` (the
+Wilson score at an effective sample size).
+
+Reduction contract.  Counts, yields, Wilson bounds on unweighted
+yields, min/max, the ESS at unit weights and every Vccmin value are
+exact.  Sums are NumPy's pairwise ``np.sum`` over the group's
+contiguous float64 column:
+
+* mean ``np.sum(x) / n``; population std ``sqrt(np.sum(d*d) / n)``
+  with ``d = x - mean``, and 0.0 below two values;
+* weighted mean ``np.sum(w*x) / np.sum(w)`` and std
+  ``sqrt(np.sum(d*d*w) / np.sum(w))``, after dropping zero weights;
+* indicator sums ``np.sum`` of ``w``, ``w*w`` and their hit-masked
+  subsets, with ``w = np.exp(log_weight)``.
+
+Pairwise summation's rounding error grows as O(log n) ulps, against
+O(n) for the sequential Welford recursion these functions replace
+(kept as the test oracle in ``tests/mc_reduce_oracle.py``; the two
+agree to 1e-12 relative).  ``math.fsum`` would round correctly but
+costs tens of times more per column than ``np.sum``, which would give
+back most of what the column reductions save.  The reducers
+concatenate a group's results into one column before summing, so
+every block partition of a campaign, per-die results included,
+reduces to the same bits.  At unit weights ``w*x`` is ``x`` and
+``np.sum(w)`` is the exact die count, so the weighted columns equal
+the unweighted ones bit for bit.  Empty columns give NaN moments; a
+non-finite or negative weight raises
+:class:`~repro.errors.ConfigError` naming it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from statistics import NormalDist
+
+import numpy as np
 
 from repro.errors import ConfigError
 
 _STANDARD_NORMAL = NormalDist()
 
 
-class StreamingStats:
-    """Welford one-pass accumulator: count, mean, std, min, max."""
+def _nan_moments(prefix: str) -> dict[str, float]:
+    return {f"{prefix}mean": math.nan, f"{prefix}std": math.nan,
+            f"{prefix}min": math.nan, f"{prefix}max": math.nan}
 
-    __slots__ = ("count", "mean", "_m2", "minimum", "maximum")
 
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
+def moments(values: np.ndarray, prefix: str = "") -> dict[str, float]:
+    """Mean, population std, min and max of a float64 column as flat
+    row columns (NaN for an empty column, std 0.0 below two values)."""
+    values = np.asarray(values, dtype=np.float64)
+    count = values.size
+    if not count:
+        return _nan_moments(prefix)
+    mean = float(np.sum(values) / count)
+    if count < 2:
+        std = 0.0
+    else:
+        squares = values - mean
+        squares *= squares  # in place: no second column-sized temporary
+        std = math.sqrt(np.sum(squares) / count)
+    return {
+        f"{prefix}mean": mean,
+        f"{prefix}std": std,
+        f"{prefix}min": float(values.min()),
+        f"{prefix}max": float(values.max()),
+    }
 
-    def add(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
 
-    def extend(self, values) -> None:
-        """Fold an iterable of values — bit-identical to repeated
-        :meth:`add` in iteration order (the block reducers feed whole
-        per-die arrays through here), just without the per-call
-        attribute traffic."""
-        count = self.count
-        mean = self.mean
-        m2 = self._m2
-        minimum = self.minimum
-        maximum = self.maximum
-        for value in values:
-            value = float(value)
-            count += 1
-            delta = value - mean
-            mean += delta / count
-            m2 += delta * (value - mean)
-            if value < minimum:
-                minimum = value
-            if value > maximum:
-                maximum = value
-        self.count = count
-        self.mean = mean
-        self._m2 = m2
-        self.minimum = minimum
-        self.maximum = maximum
+def _checked_weights(weights: np.ndarray) -> np.ndarray:
+    """``weights`` as float64, or :class:`ConfigError` naming the first
+    weight that is not finite and >= 0."""
+    weights = np.asarray(weights, dtype=np.float64)
+    bad = ~(np.isfinite(weights) & (weights >= 0.0))
+    if bad.any():
+        weight = float(weights[np.argmax(bad)])
+        raise ConfigError(f"weights must be finite and >= 0 "
+                          f"(got {weight})")
+    return weights
 
-    @property
-    def std(self) -> float:
-        """Population standard deviation (0.0 below two samples)."""
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(self._m2 / self.count)
 
-    def as_dict(self, prefix: str = "") -> dict[str, float]:
-        """The accumulated moments as flat row columns."""
-        if not self.count:
-            return {f"{prefix}mean": math.nan, f"{prefix}std": math.nan,
-                    f"{prefix}min": math.nan, f"{prefix}max": math.nan}
-        return {
-            f"{prefix}mean": self.mean,
-            f"{prefix}std": self.std,
-            f"{prefix}min": self.minimum,
-            f"{prefix}max": self.maximum,
-        }
+def importance_weights(log_weight: np.ndarray) -> np.ndarray:
+    """The per-die importance weights ``exp(log_weight)``, validated.
+
+    A log weight past the float range gives an infinite weight, which
+    is rejected like a NaN one rather than overflowing.
+    """
+    with np.errstate(over="ignore"):
+        return _checked_weights(np.exp(log_weight))
+
+
+def weighted_moments(values: np.ndarray, weights: np.ndarray,
+                     prefix: str = "") -> dict[str, float]:
+    """Weight-normalised mean, population std, min and max.
+
+    Zero-weight values carry no information and are dropped first;
+    with nothing left the columns are NaN, and the std is 0.0 below
+    two weighted values, matching :func:`moments`.
+    """
+    weights = _checked_weights(weights)
+    values = np.asarray(values, dtype=np.float64)
+    kept = weights != 0.0
+    if not kept.all():
+        values = values[kept]
+        weights = weights[kept]
+    if not values.size:
+        return _nan_moments(prefix)
+    wsum = np.sum(weights)
+    mean = float(np.sum(weights * values) / wsum)
+    if values.size < 2:
+        std = 0.0
+    else:
+        terms = values - mean
+        terms *= terms
+        terms *= weights
+        std = math.sqrt(np.sum(terms) / wsum)
+    return {
+        f"{prefix}mean": mean,
+        f"{prefix}std": std,
+        f"{prefix}min": float(values.min()),
+        f"{prefix}max": float(values.max()),
+    }
 
 
 class DiscreteDistribution:
     """Counting distribution over a small set of discrete values.
 
     Per-die Vccmin takes values on the campaign's Vcc grid, so exact
-    percentiles need only a counter per grid point — never a list of
-    samples.
+    percentiles need only a count per grid point.  Counts are kept in
+    first-occurrence order of ``values``, which fixes the summation
+    order of :attr:`mean` and :attr:`std`.
     """
 
     __slots__ = ("_counts",)
 
-    def __init__(self) -> None:
-        self._counts: dict[float, int] = {}
-
-    def add(self, value: float) -> None:
-        value = float(value)
-        self._counts[value] = self._counts.get(value, 0) + 1
+    def __init__(self, values=()) -> None:
+        values = np.asarray(values, dtype=np.float64)
+        unique, first, counts = np.unique(values, return_index=True,
+                                          return_counts=True)
+        order = np.argsort(first)
+        self._counts: dict[float, int] = dict(
+            zip(unique[order].tolist(), counts[order].tolist()))
 
     @property
     def count(self) -> int:
@@ -159,102 +202,35 @@ class DiscreteDistribution:
         return max(self._counts) if self._counts else math.nan
 
 
-class WeightedStats:
-    """Weighted Welford accumulator (West's algorithm).
+@dataclass(frozen=True)
+class WeightedProportion:
+    """Self-normalized importance-sampling estimate of an event
+    probability, from the weight sums of :meth:`of`.
 
-    With every weight exactly 1.0 the update degenerates bit for bit to
-    :class:`StreamingStats` — the operation order is chosen so
-    ``delta * 1.0 / wsum`` and ``delta * 1.0 * (value - mean)`` reduce
-    to the unweighted expressions exactly — which is what lets the
-    importance-sampled reducers reuse one code path and still match the
-    brute-force goldens at shift 0.  Zero-weight observations are
-    skipped entirely (they carry no information and would only risk a
-    0/0 on the first add).
+    Answers the estimate ``sum(w * hit) / sum(w)``, its delta-method
+    variance, the Kish effective sample size ``sum(w)^2 / sum(w^2)``,
+    and a clamped normal confidence interval.  With unit weights the
+    estimate is exactly ``hits / count`` and the ESS exactly ``count``
+    (ratios of exactly-represented float integers), so shift-0
+    campaigns reduce identically to the plain counters.
     """
 
-    __slots__ = ("count", "wsum", "mean", "_m2", "minimum", "maximum")
+    wsum: float
+    w2sum: float
+    hit_wsum: float
+    hit_w2sum: float
 
-    def __init__(self) -> None:
-        self.count = 0
-        self.wsum = 0.0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def add(self, value: float, weight: float) -> None:
-        value = float(value)
-        weight = float(weight)
-        if not (math.isfinite(weight) and weight >= 0.0):
-            raise ConfigError(f"weights must be finite and >= 0 "
-                              f"(got {weight})")
-        if weight == 0.0:
-            return
-        self.count += 1
-        self.wsum += weight
-        delta = value - self.mean
-        self.mean += delta * weight / self.wsum
-        self._m2 += delta * weight * (value - self.mean)
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    @property
-    def std(self) -> float:
-        """Weight-normalised population standard deviation (0.0 below
-        two counted samples, matching :class:`StreamingStats`)."""
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(self._m2 / self.wsum)
-
-    def as_dict(self, prefix: str = "") -> dict[str, float]:
-        """The accumulated moments as flat row columns."""
-        if not self.count:
-            return {f"{prefix}mean": math.nan, f"{prefix}std": math.nan,
-                    f"{prefix}min": math.nan, f"{prefix}max": math.nan}
-        return {
-            f"{prefix}mean": self.mean,
-            f"{prefix}std": self.std,
-            f"{prefix}min": self.minimum,
-            f"{prefix}max": self.maximum,
-        }
-
-
-class WeightedIndicator:
-    """Self-normalized importance-sampling estimator of an event
-    probability.
-
-    Accumulates ``(hit, weight)`` observations and answers the
-    self-normalized estimate ``sum(w * hit) / sum(w)``, its
-    delta-method variance, the Kish effective sample size
-    ``sum(w)^2 / sum(w^2)``, and a clamped normal confidence interval.
-    With unit weights the estimate is exactly ``hits / count`` and the
-    ESS exactly ``count`` (both ratios of exactly-represented float
-    integers), so shift-0 campaigns reduce identically to the plain
-    counters.
-    """
-
-    __slots__ = ("count", "wsum", "w2sum", "hit_wsum", "hit_w2sum")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.wsum = 0.0
-        self.w2sum = 0.0
-        self.hit_wsum = 0.0
-        self.hit_w2sum = 0.0
-
-    def add(self, hit: bool, weight: float) -> None:
-        weight = float(weight)
-        if not (math.isfinite(weight) and weight >= 0.0):
-            raise ConfigError(f"weights must be finite and >= 0 "
-                              f"(got {weight})")
-        self.count += 1
-        self.wsum += weight
-        self.w2sum += weight * weight
-        if hit:
-            self.hit_wsum += weight
-            self.hit_w2sum += weight * weight
+    @classmethod
+    def of(cls, hits: np.ndarray, weights: np.ndarray,
+           ) -> "WeightedProportion":
+        """The sums over a bool ``hits`` column and its weights."""
+        weights = _checked_weights(weights)
+        hits = np.asarray(hits, dtype=bool)
+        squares = weights * weights
+        return cls(wsum=float(np.sum(weights)),
+                   w2sum=float(np.sum(squares)),
+                   hit_wsum=float(np.sum(weights[hits])),
+                   hit_w2sum=float(np.sum(squares[hits])))
 
     @property
     def estimate(self) -> float:
@@ -265,7 +241,7 @@ class WeightedIndicator:
 
     @property
     def ess(self) -> float:
-        """Kish effective sample size of the accumulated weights."""
+        """Kish effective sample size of the weights."""
         if self.w2sum == 0.0:
             return 0.0
         return self.wsum * self.wsum / self.w2sum

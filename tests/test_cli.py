@@ -146,7 +146,7 @@ class TestMonteCarloCli:
         return path
 
     def test_mc_renders_yield_and_vccmin(self, capsys):
-        assert main(["mc", "--samples", "4", "--vcc", "500",
+        assert main(["mc", "--dies", "4", "--vcc", "500",
                      "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "Yield vs Vcc" in out
@@ -155,18 +155,18 @@ class TestMonteCarloCli:
 
     def test_mc_export_and_validation(self, tmp_path, capsys):
         csv_path = tmp_path / "mc.csv"
-        assert main(["mc", "--samples", "3", "--vcc", "500", "450",
+        assert main(["mc", "--dies", "3", "--vcc", "500", "450",
                      "--no-cache", "--export-csv", str(csv_path)]) == 0
         assert csv_path.read_text().startswith("kind,scheme,vcc_mv")
         capsys.readouterr()
-        assert main(["mc", "--samples", "0"]) == 2
-        assert "--samples" in capsys.readouterr().err
+        assert main(["mc", "--dies", "0"]) == 2
+        assert "--dies" in capsys.readouterr().err
         assert main(["mc", "--confidence", "2.0"]) == 2
         assert "--confidence" in capsys.readouterr().err
 
     def test_run_samples_override(self, tmp_path, capsys):
         path = self.write_mc_spec(tmp_path, dies=16)
-        assert main(["run", str(path), "--dry-run", "--samples", "2",
+        assert main(["run", str(path), "--dry-run", "--dies", "2",
                      "--confidence", "0.5"]) == 0
         out = capsys.readouterr().out
         assert "montecarlo:  2 dies (seed 1, 0.5 confidence)" in out
@@ -179,8 +179,19 @@ class TestMonteCarloCli:
         ExperimentSpec(name="plain", profiles=("kernel-like",),
                        trace_length=400, vcc_mv=(500.0,),
                        artifacts=()).save(path)
-        assert main(["run", str(path), "--samples", "4"]) == 2
+        assert main(["run", str(path), "--dies", "4"]) == 2
         assert "[montecarlo]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["mc", "run"])
+    def test_removed_samples_alias_is_an_unknown_argument(self, tmp_path,
+                                                          capsys, command):
+        argv = [command] if command == "mc" \
+            else ["run", str(self.write_mc_spec(tmp_path))]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--samples", "4"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --samples" \
+            in capsys.readouterr().err
 
 
 class TestCachePruneDryRun:
@@ -458,7 +469,7 @@ class TestMcArgumentValidation:
     def test_duplicate_vcc_levels_deduped(self, capsys):
         from repro.cli import main
 
-        assert main(["mc", "--samples", "2", "--vcc", "500", "500",
+        assert main(["mc", "--dies", "2", "--vcc", "500", "500",
                      "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert out.count("500    | baseline") == 1

@@ -22,6 +22,7 @@ locked independently:
 import math
 from statistics import NormalDist
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,9 +48,10 @@ from repro.montecarlo.sampling import (
     sample_die,
 )
 from repro.montecarlo.stats import (
-    StreamingStats,
-    WeightedIndicator,
-    WeightedStats,
+    WeightedProportion,
+    importance_weights,
+    moments,
+    weighted_moments,
     weighted_wilson_interval,
     wilson_interval,
 )
@@ -76,14 +78,13 @@ def block_results(config, dies, vcc, scheme, block=None):
     return results
 
 
-def failure_indicator(results) -> WeightedIndicator:
-    """Fold functional-failure mass exactly as the reducers do."""
-    indicator = WeightedIndicator()
-    for result in results:
-        for is_functional, log_weight in zip(result.functional.tolist(),
-                                             result.log_weight.tolist()):
-            indicator.add(not is_functional, math.exp(log_weight))
-    return indicator
+def failure_indicator(results) -> WeightedProportion:
+    """Reduce functional-failure mass exactly as the reducers do: one
+    die-order column, then the weighted sums."""
+    functional = np.concatenate([result.functional for result in results])
+    log_weight = np.concatenate([result.log_weight for result in results])
+    return WeightedProportion.of(~functional,
+                                 importance_weights(log_weight))
 
 
 class TestExactWeights:
@@ -220,7 +221,7 @@ class TestCrossValidation:
 
 class TestEssDiagnostics:
     def test_ess_is_invariant_under_block_partitioning(self):
-        """The Kish ESS folds per-die weights in die order, so how the
+        """The Kish ESS sums one die-order weight column, so how the
         campaign was cut into jobs must not change it at all."""
         config = MonteCarloConfig(seed=0, shift_sigma=1.0)
         references = None
@@ -321,36 +322,34 @@ class TestDeepTailAcceptance:
 
 class TestWeightedAccumulatorUnits:
     def test_unit_weights_degenerate_to_streaming_stats_bitwise(self):
-        values = [3.25, -1.5, 0.0, 7.125, 2.0, -8.75]
-        plain = StreamingStats()
-        weighted = WeightedStats()
-        for value in values:
-            plain.add(value)
-            weighted.add(value, 1.0)
-        assert weighted.mean == plain.mean
-        assert weighted.std == plain.std
-        assert weighted.minimum == plain.minimum
-        assert weighted.maximum == plain.maximum
+        values = np.array([3.25, -1.5, 0.0, 7.125, 2.0, -8.75])
+        plain = moments(values)
+        weighted = weighted_moments(values, np.ones(values.size))
+        assert weighted == plain
 
     def test_zero_weights_carry_no_mass(self):
-        stats = WeightedStats()
-        stats.add(100.0, 0.0)
-        assert stats.count == 0  # never enters the Welford stream
-        indicator = WeightedIndicator()
-        indicator.add(True, 0.0)
-        assert indicator.count == 1  # observed, but weightless:
+        # A zero-weight value never enters the weighted moments.
+        stats = weighted_moments(np.array([100.0]), np.array([0.0]))
+        assert all(math.isnan(value) for value in stats.values())
+        assert weighted_moments(np.array([100.0, 4.0]),
+                                np.array([0.0, 2.0])) \
+            == moments(np.array([4.0]))
+        # Observed, but weightless: no estimate, no effective sample.
+        indicator = WeightedProportion.of(np.array([True]),
+                                          np.array([0.0]))
         assert math.isnan(indicator.estimate)
         assert indicator.ess == 0.0
 
     def test_invalid_weights_are_rejected(self):
         for bad in (-1.0, math.nan, math.inf):
-            with pytest.raises(ConfigError):
-                WeightedStats().add(1.0, bad)
-            with pytest.raises(ConfigError):
-                WeightedIndicator().add(True, bad)
+            with pytest.raises(ConfigError, match="weights must be"):
+                weighted_moments(np.array([1.0]), np.array([bad]))
+            with pytest.raises(ConfigError, match="weights must be"):
+                WeightedProportion.of(np.array([True]), np.array([bad]))
 
     def test_empty_indicator_reports_nan_and_full_interval(self):
-        indicator = WeightedIndicator()
+        indicator = WeightedProportion.of(np.array([], dtype=bool),
+                                          np.array([]))
         assert math.isnan(indicator.estimate)
         assert indicator.ess == 0.0
         assert weighted_wilson_interval(indicator.estimate, indicator.ess,

@@ -16,9 +16,11 @@ import threading
 from collections import OrderedDict
 from statistics import NormalDist
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mc_reduce_oracle import StreamingStats
 
 from repro.circuits.frequency import ClockScheme
 from repro.engine import (
@@ -39,8 +41,8 @@ from repro.montecarlo import (
     ImportanceSpec,
     MonteCarloConfig,
     MonteCarloSpec,
-    StreamingStats,
     evaluate_die_point,
+    moments,
     montecarlo_jobs,
     sample_die,
     vccmin_rows,
@@ -390,6 +392,9 @@ class TestBlockBackends:
         assert warm.stats.simulated == 0
 
     def test_streaming_extend_matches_repeated_add(self):
+        """Blocks of a column (an empty one included) reduce to the
+        bits of the whole column; in the reference accumulator,
+        ``extend`` over the blocks matches repeated ``add``."""
         values = [0.5, -1.25, 3.0, 3.0, 0.0, 7.5, -2.0]
         one_by_one = StreamingStats()
         for value in values:
@@ -400,6 +405,10 @@ class TestBlockBackends:
         batched.extend(values[3:])
         assert batched.as_dict() == one_by_one.as_dict()
         assert batched.count == one_by_one.count
+        column = np.concatenate([values[:3], [], values[3:]])
+        assert moments(column) == moments(np.array(values))
+        assert moments(column) == pytest.approx(one_by_one.as_dict(),
+                                                rel=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ nothing.
 import math
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,8 +31,8 @@ from repro.montecarlo import (
     DiscreteDistribution,
     MonteCarloConfig,
     MonteCarloSpec,
-    StreamingStats,
     evaluate_die_point,
+    moments,
     montecarlo_jobs,
     per_die_rows,
     sample_die,
@@ -159,24 +160,19 @@ class TestDieEvaluation:
 class TestStreamingStats:
     def test_matches_batch_statistics(self):
         values = [3.0, 1.5, -2.0, 8.25, 0.125, 7.0]
-        stats = StreamingStats()
-        for value in values:
-            stats.add(value)
-        assert stats.count == len(values)
-        assert stats.mean == pytest.approx(statistics.fmean(values))
-        assert stats.std == pytest.approx(statistics.pstdev(values))
-        assert stats.minimum == min(values)
-        assert stats.maximum == max(values)
+        stats = moments(values)
+        assert stats["mean"] == pytest.approx(statistics.fmean(values))
+        assert stats["std"] == pytest.approx(statistics.pstdev(values))
+        assert stats["min"] == min(values)
+        assert stats["max"] == max(values)
 
     def test_empty_reports_nan(self):
-        columns = StreamingStats().as_dict("x_")
+        columns = moments([], "x_")
+        assert sorted(columns) == ["x_max", "x_mean", "x_min", "x_std"]
         assert all(math.isnan(value) for value in columns.values())
 
     def test_discrete_percentiles_are_exact(self):
-        dist = DiscreteDistribution()
-        for value, count in ((400.0, 7), (425.0, 2), (500.0, 1)):
-            for _ in range(count):
-                dist.add(value)
+        dist = DiscreteDistribution([400.0] * 7 + [425.0] * 2 + [500.0])
         assert dist.count == 10
         assert dist.percentile(0.0) == 400.0
         assert dist.percentile(50.0) == 400.0
@@ -242,34 +238,26 @@ class TestStatsEdgeCases:
             assert weighted == reference
 
     def test_percentile_of_a_single_observation(self):
-        dist = DiscreteDistribution()
-        dist.add(450.0)
+        dist = DiscreteDistribution([450.0])
         for p in (0.0, 25.0, 50.0, 99.9, 100.0):
             assert dist.percentile(p) == 450.0
         assert dist.minimum == dist.maximum == 450.0
         assert dist.std == 0.0
 
     def test_percentile_when_every_observation_is_equal(self):
-        dist = DiscreteDistribution()
-        for _ in range(10):
-            dist.add(425.0)
+        dist = DiscreteDistribution([425.0] * 10)
         for p in (0.0, 10.0, 50.0, 90.0, 100.0):
             assert dist.percentile(p) == 425.0
         assert dist.mean == 425.0
         assert dist.std == 0.0
 
     def test_streaming_extend_with_an_empty_iterable(self):
-        stats = StreamingStats()
-        stats.extend([])
-        assert stats.count == 0
         assert all(math.isnan(value)
-                   for value in stats.as_dict("x_").values())
-        stats.add(2.5)
-        before = (stats.count, stats.mean, stats.std,
-                  stats.minimum, stats.maximum)
-        stats.extend(iter(()))  # and mid-stream: a pure no-op
-        assert (stats.count, stats.mean, stats.std,
-                stats.minimum, stats.maximum) == before
+                   for value in moments(np.array([]), "x_").values())
+        before = moments(np.array([2.5]))
+        assert before == {"mean": 2.5, "std": 0.0, "min": 2.5, "max": 2.5}
+        # An empty block joined onto a column is a pure no-op.
+        assert moments(np.concatenate([[2.5], np.array([])])) == before
 
 
 # ----------------------------------------------------------------------
