@@ -1,7 +1,7 @@
 """Blocked vs per-die Monte-Carlo campaign throughput.
 
-Times the same yield campaign through both planning shapes — legacy
-one-``mc-die``-job-per-die and vectorized ``mc-block`` jobs — on a
+Times the same yield campaign at two ``mc-block`` sizes — ``block = 1``
+(the per-die plan: one job per die) and ``--block`` dies per job — on a
 serial, cache-less runner, checks the reduced ``yield_curve`` rows are
 identical, times one ``yield_curve_rows`` pass over the blocked leg's
 resolved results (``reduce_s``, the reduction layer alone), and writes
@@ -39,10 +39,10 @@ from repro.montecarlo.campaign import yield_curve_rows
 EQUALITY_DIES = 256
 
 
-def campaign_spec(dies: int, block: int | None, vcc: list[float],
+def campaign_spec(dies: int, block: int, vcc: list[float],
                   schemes: list[str], seed: int) -> ExperimentSpec:
     return ExperimentSpec(
-        name=f"mc-scaling-{'block' if block else 'die'}-{dies}",
+        name=f"mc-scaling-b{block}-{dies}",
         profiles=(),
         vcc_mv=tuple(vcc),
         schemes=tuple(schemes),
@@ -51,7 +51,7 @@ def campaign_spec(dies: int, block: int | None, vcc: list[float],
     )
 
 
-def run_campaign(dies: int, block: int | None, vcc, schemes, seed):
+def run_campaign(dies: int, block: int, vcc, schemes, seed):
     """One serial, cache-less campaign: (elapsed_s, yield_curve rows,
     the experiment)."""
     spec = campaign_spec(dies, block, vcc, schemes, seed)
@@ -99,13 +99,13 @@ def main(argv=None) -> int:
     # Bit-equality cross-check on a small common slice first: the
     # speedup number is meaningless if the paths disagree.
     check = min(EQUALITY_DIES, args.dies)
-    _, die_rows, _ = run_campaign(check, None, args.vcc, args.schemes,
+    _, die_rows, _ = run_campaign(check, 1, args.vcc, args.schemes,
                                   args.seed)
     _, block_rows, _ = run_campaign(check, min(args.block, check),
                                     args.vcc, args.schemes, args.seed)
     rows_equal = die_rows == block_rows
 
-    per_die_s, _, _ = run_campaign(compare_dies, None, args.vcc,
+    per_die_s, _, _ = run_campaign(compare_dies, 1, args.vcc,
                                    args.schemes, args.seed)
     blocked_s, _, blocked = run_campaign(args.dies, args.block, args.vcc,
                                          args.schemes, args.seed)

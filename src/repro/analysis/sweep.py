@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.circuits import constants
 from repro.circuits.frequency import ClockScheme, FrequencySolver
-from repro.engine.executors import population_for, warm_caches
+from repro.engine.executors import trace_for, warm_caches
 from repro.engine.jobs import Job, TracePopulationSpec
 from repro.engine.runner import ParallelRunner
 from repro.analysis.metrics import PointResult, speedup
@@ -94,8 +94,9 @@ class VccSweep:
 
     @property
     def traces(self) -> list[Trace]:
-        """The generated population (shared, per-process memoized)."""
-        return population_for(self._population)
+        """The generated population, in population order (each trace
+        per-process memoized, exactly as the shards executing it are)."""
+        return [trace_for(spec) for spec in self._population.trace_specs()]
 
     @property
     def stats(self):

@@ -29,9 +29,9 @@ engine batch.  ``figures``, ``compare`` and ``mc`` are conveniences
 that build the equivalent spec in memory and run it through the same
 driver; ``mc --dies N`` sweeps N sampled dies across the Vcc grid
 (``yield_curve`` + ``vccmin_dist`` artifacts), ``--block B`` batches
-them into vectorized ``mc-block`` jobs of B dies each,
-``--importance-shift S`` importance-samples the deep tail (adding the
-``deep_tail`` artifact), and ``run`` accepts the same
+them into vectorized ``mc-block`` jobs of B dies each (default 1, one
+job per die), ``--importance-shift S`` importance-samples the deep tail
+(adding the ``deep_tail`` artifact), and ``run`` accepts the same
 ``--dies``/``--confidence``/``--block``/``--importance-shift``
 overrides for spec files with a ``[montecarlo]`` section.
 
@@ -151,7 +151,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "level for yield intervals")
     run.add_argument("--block", type=int, default=None, metavar="B",
                      help="override the spec's montecarlo block size "
-                          "(dies per vectorized mc-block job)")
+                          "(dies per vectorized mc-block job; 1 = one "
+                          "job per die)")
     run.add_argument("--importance-shift", default=None, metavar="S",
                      help="override the spec's montecarlo importance "
                           "proposal shift (cell sigmas, or 'auto')")
@@ -179,14 +180,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "paper's SRAM arrays) and evaluate each against "
                     "the design clock across a Vcc grid.  Renders the "
                     "yield_curve and vccmin_dist artifacts; every "
-                    "(die, Vcc, scheme) point is an ordinary engine "
+                    "(Vcc, scheme, die block) is an ordinary engine "
                     "job, so workers, backends and the result cache "
                     "apply as usual.")
     mc.add_argument("--dies", type=int, default=None, metavar="N",
                     help="number of sampled dies (default 64)")
-    mc.add_argument("--block", type=int, default=None, metavar="B",
-                    help="dies per vectorized mc-block job (default: "
-                         "one mc-die job per die)")
+    mc.add_argument("--block", type=int, default=1, metavar="B",
+                    help="dies per vectorized mc-block job (default 1 = "
+                         "one job per die)")
     mc.add_argument("--confidence", type=float, default=0.95, metavar="C",
                     help="confidence level for Wilson yield intervals "
                          "(default 0.95)")
@@ -421,7 +422,7 @@ def _cmd_run(args) -> int:
               f"(+{len(spec.ablations)} ablations, "
               f"{len(spec.dvfs)} dvfs schedules)")
         if spec.montecarlo is not None:
-            block = "" if spec.montecarlo.block is None \
+            block = "" if spec.montecarlo.block == 1 \
                 else f", block {spec.montecarlo.block}"
             print(f"montecarlo:  {spec.montecarlo.dies} dies "
                   f"(seed {spec.montecarlo.seed}, "

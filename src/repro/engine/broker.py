@@ -374,10 +374,15 @@ class SpoolBroker:
         """
         events = []
         now = time.monotonic()
+        # Scan in lifecycle order.  Workers only move a shard forward
+        # (pending -> claimed -> done | failed, writing the outcome
+        # before dropping the claim), so a shard that moves between two
+        # scans shows up in a later one.  In any other order a fast
+        # shard can finish between two scans and read as lost.
+        pending_names = self._names(self.pending_dir)
+        claimed_stats = self._stats(self.claimed_dir)
         done_names = self._names(self.done_dir)
         failed_names = self._names(self.failed_dir)
-        claimed_stats = self._stats(self.claimed_dir)
-        pending_names = self._names(self.pending_dir)
         for key in sorted(keys):
             if f"{key}.pkl" in done_names:
                 done_path = self.done_dir / f"{key}.pkl"

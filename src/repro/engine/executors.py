@@ -3,13 +3,11 @@
 Each :class:`~repro.engine.jobs.Job` kind maps to one module-level
 function so jobs execute identically in-process (the serial fallback) and
 inside ``ProcessPoolExecutor`` workers (module-level functions pickle by
-qualified name).  Population kinds arrive here as per-trace *shards*
-(``job.trace`` set) — the runner splits populations before submission —
-but the legacy whole-population path is kept for direct
-:func:`execute_job` calls.  Traces and populations are regenerated from
-their deterministic specs and memoized per process, so parallel workers
-never ship trace objects across the pipe and serial runs share one
-population exactly like the legacy harness did.
+qualified name).  Population kinds arrive here only as per-trace
+*shards* (``job.trace`` set): the runner splits populations before
+submission, and an unsharded population job is rejected.  Traces are
+regenerated from their deterministic specs and memoized per process, so
+parallel workers never ship trace objects across the pipe.
 
 This module deliberately imports only the simulator layers (circuits,
 pipeline, workloads, baselines) at module scope — :mod:`repro.analysis`
@@ -36,21 +34,16 @@ from repro.memory.hierarchy import MemoryConfig, MemorySystem
 from repro.pipeline.core import CoreSetup, InOrderCore
 from repro.pipeline.resources import PipelineParams
 from repro.workloads.trace import Trace
-from repro.engine.jobs import Job, TracePopulationSpec, TraceSpec
+from repro.engine.jobs import Job, TraceSpec
 
 if TYPE_CHECKING:  # layering: analysis imports resolve lazily at runtime
     from repro.analysis.metrics import PointResult
 
-#: Per-process memo of generated populations; fork workers inherit the
-#: parent's entries, spawn workers rebuild them deterministically.
-#: Bounded LRU: long-lived processes exploring many distinct settings
-#: must not accumulate every population they ever touched.
-_POPULATIONS: "OrderedDict[TracePopulationSpec, list[Trace]]" = OrderedDict()
-_POPULATIONS_MAX = 4
-
-#: Per-process memo of single traces (the shard execution path): a worker
-#: receiving several shards of the same trace at different (Vcc, scheme)
-#: points regenerates it once.  Bounded LRU like the population memo.
+#: Per-process memo of single traces: a worker receiving several shards
+#: of the same trace at different (Vcc, scheme) points regenerates it
+#: once; fork workers inherit the parent's entries, spawn workers rebuild
+#: them deterministically.  Bounded LRU: long-lived processes exploring
+#: many distinct settings must not accumulate every trace they touched.
 _TRACES: "OrderedDict[TraceSpec, Trace]" = OrderedDict()
 _TRACES_MAX = 16
 
@@ -86,11 +79,6 @@ def _memoized(store: OrderedDict, limit: int, key, build):
         while len(store) > limit:
             store.popitem(last=False)
     return value
-
-
-def population_for(spec: TracePopulationSpec) -> list[Trace]:
-    """The (per-process memoized) trace population of ``spec``."""
-    return _memoized(_POPULATIONS, _POPULATIONS_MAX, spec, spec.build)
 
 
 def trace_for(spec: TraceSpec) -> Trace:
@@ -146,26 +134,20 @@ def _solver_for(job: Job) -> FrequencySolver:
     return FrequencySolver(**kwargs)
 
 
-def _run_population(job: Job, point, setup: CoreSetup, scheme_name: str,
-                    memory_mutator=None):
-    """Run the job's trace(s) under ``setup`` at ``point``.
+def _run_shard(job: Job, point, setup: CoreSetup, scheme_name: str,
+               memory_mutator=None):
+    """Run the shard's one trace under ``setup`` at ``point``.
 
-    A shard job (``trace`` set, ``population`` empty) runs exactly one
-    trace and returns a one-trace result; the runner concatenates shard
-    results back into the population result (see
-    :func:`repro.engine.jobs.aggregate_shard_results`).  A legacy
-    whole-population job loops over every trace inline.  Each trace gets
-    a fresh core either way, so the two paths are bit-identical.
+    A shard job (``trace`` set, ``population`` empty) returns a
+    one-trace result; the runner concatenates shard results back into
+    the population result (see
+    :func:`repro.engine.jobs.aggregate_shard_results`).
     """
     from repro.analysis.metrics import PointResult
 
-    if job.trace is not None:
-        traces = [trace_for(job.trace)]
-    elif job.population is not None:
-        traces = population_for(job.population)
-    else:
-        raise ConfigError(f"{job.kind} job needs a trace population "
-                          f"or a trace spec")
+    if job.trace is None:
+        raise ConfigError(f"{job.kind} job needs a trace spec: split "
+                          f"population jobs with shard_jobs first")
     dram_latency_ns = job.option("dram_latency_ns",
                                  constants.DRAM_LATENCY_NS)
     base_memory = job.option("memory") or MemoryConfig()
@@ -173,17 +155,15 @@ def _run_population(job: Job, point, setup: CoreSetup, scheme_name: str,
     memory = replace(base_memory,
                      dram_latency_cycles=point.memory_latency_cycles(
                          dram_latency_ns))
-    results = []
+    trace = trace_for(job.trace)
+    core = InOrderCore(replace(setup, memory=memory))
     extras: dict[str, float] = {}
-    for trace in traces:
-        core = InOrderCore(replace(setup, memory=memory))
-        if memory_mutator is not None:
-            extras = dict(memory_mutator(core.memory) or {})
-        if warm:
-            warm_caches(core.memory, trace)
-        results.append(core.run(trace))
+    if memory_mutator is not None:
+        extras = dict(memory_mutator(core.memory) or {})
+    if warm:
+        warm_caches(core.memory, trace)
     return PointResult(vcc_mv=job.vcc_mv, scheme=scheme_name, point=point,
-                       results=tuple(results),
+                       results=(core.run(trace),),
                        extras=tuple(sorted(extras.items())))
 
 
@@ -204,7 +184,7 @@ def _run_sweep_point(job: Job) -> PointResult:
     setup = CoreSetup(iraw=iraw, params=params,
                       name=f"{scheme.value}@{job.vcc_mv:g}mV",
                       check_values=False)
-    return _run_population(job, point, setup, scheme.value)
+    return _run_shard(job, point, setup, scheme.value)
 
 
 def _run_faulty_bits(job: Job) -> PointResult:
@@ -212,8 +192,8 @@ def _run_faulty_bits(job: Job) -> PointResult:
     baseline = FaultyBitsBaseline(_solver_for(job))
     point = baseline.operating_point(job.vcc_mv)
     setup = baseline.core_setup(job.vcc_mv)
-    return _run_population(job, point, setup, "faulty-bits",
-                           memory_mutator=baseline.apply_to_memory)
+    return _run_shard(job, point, setup, "faulty-bits",
+                      memory_mutator=baseline.apply_to_memory)
 
 
 def _run_extra_bypass(job: Job) -> PointResult:
@@ -224,7 +204,7 @@ def _run_extra_bypass(job: Job) -> PointResult:
                                      hypothetical_rf_only=hypothetical)
     setup = baseline.core_setup(job.vcc_mv,
                                 hypothetical_rf_only=hypothetical)
-    return _run_population(job, point, setup, "extra-bypass")
+    return _run_shard(job, point, setup, "extra-bypass")
 
 
 def _run_dvfs_schedule(job: Job):
@@ -250,34 +230,16 @@ def _run_dvfs_schedule(job: Job):
     return scenario.run(job.trace.build(), list(phases))
 
 
-def _run_mc_die(job: Job):
-    """One Monte-Carlo die sample at one (Vcc, scheme) point.
-
-    The die index and the campaign's physics config ride in the job
-    options (and therefore in the canonical key), so every sampled die
-    is an independently cacheable unit across all backends.
-    """
-    # Lazy import: repro.montecarlo sits beside the engine in layering.
-    from repro.montecarlo.sampling import evaluate_die_point
-
-    config = job.option("mc")
-    die = job.option("die")
-    if config is None or die is None:
-        raise ConfigError("mc-die job needs 'mc' config and 'die' options")
-    return evaluate_die_point(config, int(die), job.vcc_mv,
-                              ClockScheme(job.scheme),
-                              solver=_solver_for(job))
-
-
 def _run_mc_block(job: Job):
     """A contiguous Monte-Carlo die block at one (Vcc, scheme) point.
 
     The block's die range (``die_start``/``dies``) and the campaign's
     physics config ride in the job options — and therefore in the
     canonical key — so a block is an independently cacheable, dedupable
-    unit exactly like a single die.  The block's draws (Vcc-independent)
-    are memoized per process under their draw identity and shared
-    across the whole grid and every campaign drawing the same dies.
+    unit; a per-die campaign is blocks of one die.  The block's draws
+    (Vcc-independent) are memoized per process under their draw
+    identity and shared across the whole grid and every campaign
+    drawing the same dies.
     """
     # Lazy import: repro.montecarlo sits beside the engine in layering.
     from repro.montecarlo.sampling import DieBlock, evaluate_block
@@ -327,7 +289,6 @@ _EXECUTORS = {
     "faulty-bits": _run_faulty_bits,
     "extra-bypass": _run_extra_bypass,
     "dvfs-schedule": _run_dvfs_schedule,
-    "mc-die": _run_mc_die,
     "mc-block": _run_mc_block,
     "engine-selftest-crash": _crash,
     "engine-selftest-sleep": _sleep,

@@ -116,9 +116,9 @@ class Experiment:
         return jobs
 
     def mc_jobs(self) -> list[Job]:
-        """The die-sampling batch, in plan order: one ``mc-die`` job per
-        (Vcc, scheme, die), or one vectorized ``mc-block`` job per
-        (Vcc, scheme, die span) when the spec sets a block size.
+        """The die-sampling batch, in plan order: one vectorized
+        ``mc-block`` job per (Vcc, scheme, span of ``block`` dies) — one
+        job per die at the default block of 1.
 
         Empty when the spec has no ``[montecarlo]`` section.  The jobs
         key against the default calibrated solver, matching how sweep
@@ -228,7 +228,7 @@ class Experiment:
         return ResultSet(records)
 
     def mc_results(self) -> list:
-        """The resolved ``mc-die`` results, in plan order (memoized).
+        """The resolved ``mc-block`` results, in plan order (memoized).
 
         After :meth:`run` the batch is answered entirely from the
         runner's memo; the list is resolved once per runner binding and
@@ -255,7 +255,8 @@ class Experiment:
                 mc.dies, mc.confidence, importance=mc.importance)
         return [dict(row) for row in self._mc_yield_rows]
 
-    #: Above this die count the per-die ``mc-die`` records are omitted
+    #: Above this die count the per-die ``mc-die`` records (ResultSet
+    #: rows, one per scheme and die, at any block size) are omitted
     #: from the ResultSet: a million-die campaign must not export two
     #: million rows of per-die identity nobody can plot.  The aggregate
     #: ``mc-yield`` records and both montecarlo artifacts are unaffected.

@@ -11,13 +11,16 @@ within-die worst-case cell of every array, derived from the calibrated
 evaluated against the *design* clock schedule at every (Vcc, scheme)
 point of a campaign grid.
 
-Each sampled (die, Vcc, scheme) point is an ordinary engine job (kind
-``mc-die``): the die seed is folded into the canonical job key, so
+Each (Vcc, scheme, contiguous die span) of a campaign is an ordinary
+engine job (kind ``mc-block``), evaluated as NumPy vectors: the span
+and the campaign's physics fold into the canonical job key, so
 deduplication, on-disk caching and all three execution backends work
-unchanged, and a 256-die campaign turns every grid point into hundreds
-of independently cacheable units.  Reduction works one (Vcc, scheme)
-group at a time on die-order column arrays
-(:mod:`repro.montecarlo.stats`): yields with Wilson confidence
+unchanged.  The span length is the spec's ``block`` size; the default
+of 1 makes every sampled die an independently cacheable unit, so a
+256-die campaign turns every grid point into hundreds of jobs, while
+``block = 8192`` runs a million dies in 123 jobs per grid point.
+Reduction works one (Vcc, scheme) group at a time on die-order column
+arrays (:mod:`repro.montecarlo.stats`): yields with Wilson confidence
 intervals, per-die Vccmin distributions, and frequency-bin statistics.
 
 Layering: :mod:`repro.montecarlo.sampling` sits beside ``circuits``
@@ -38,10 +41,8 @@ from repro.montecarlo.importance import (
     deep_tail_rows,
 )
 from repro.montecarlo.sampling import (
-    DiePointResult,
     DieSample,
     MonteCarloConfig,
-    evaluate_die_point,
     sample_die,
     shifted_offset,
 )
@@ -56,7 +57,6 @@ from repro.montecarlo.stats import (
 )
 
 __all__ = [
-    "DiePointResult",
     "DieSample",
     "DiscreteDistribution",
     "EffectiveSampleSizeWarning",
@@ -65,7 +65,6 @@ __all__ = [
     "MonteCarloSpec",
     "WeightedProportion",
     "deep_tail_rows",
-    "evaluate_die_point",
     "moments",
     "montecarlo_jobs",
     "per_die_rows",

@@ -2,18 +2,17 @@
 
 :func:`montecarlo_jobs` compiles a :class:`MonteCarloSpec` against a
 Vcc grid and scheme list into the campaign's engine jobs in plan
-order: one ``mc-die`` job per (Vcc, scheme, die), or, with a block
-size, one vectorized ``mc-block`` job per (Vcc, scheme, contiguous die
-span).  Each job's canonical key derives from the campaign's physics
-config plus its die index or span, so every unit is independently
-cacheable, dedupable and backend-agnostic.
+order: one vectorized ``mc-block`` job per (Vcc, scheme, contiguous die
+span of ``block`` dies), so the default block of 1 is one job per die.
+Each job's canonical key derives from the campaign's physics config
+plus its span, so every unit is independently cacheable, dedupable
+and backend-agnostic.
 
 The reducers consume the result sequence *in plan order*, one
 (Vcc, scheme) group at a time: :func:`_grouped` turns each group into
-:class:`DieColumns` (block arrays concatenated and per-die results
-stacked, in die order), and every statistic is a NumPy reduction over
-those columns under the contract documented in
-:mod:`repro.montecarlo.stats`:
+:class:`DieColumns` (block arrays concatenated in die order), and
+every statistic is a NumPy reduction over those columns under the
+contract documented in :mod:`repro.montecarlo.stats`:
 
 * :func:`yield_curve_rows` — functional and frequency (top-bin) yield
   per (Vcc, scheme) with Wilson confidence intervals, plus
@@ -27,7 +26,6 @@ those columns under the contract documented in
 from __future__ import annotations
 
 import math
-from itertools import groupby
 
 import numpy as np
 
@@ -35,7 +33,6 @@ from repro.circuits.frequency import FrequencySolver
 from repro.engine.jobs import Job
 from repro.errors import ConfigError
 from repro.montecarlo.importance import warn_low_ess
-from repro.montecarlo.sampling import DieBlockResult
 from repro.montecarlo.spec import MonteCarloSpec
 from repro.montecarlo.stats import (
     DiscreteDistribution,
@@ -52,11 +49,10 @@ def montecarlo_jobs(mc: MonteCarloSpec, grid, schemes,
                     solver: FrequencySolver | None = None) -> list[Job]:
     """The campaign's engine jobs, in plan order.
 
-    Without a block size, one ``mc-die`` job per (Vcc, scheme, die);
-    with ``mc.block`` set, one vectorized ``mc-block`` job per
-    (Vcc, scheme, contiguous die span) — spans tile ``range(dies)`` in
-    order, so plan order is die order either way and the reducers
-    consume both shapes identically.
+    One vectorized ``mc-block`` job per (Vcc, scheme, contiguous die
+    span of ``mc.block`` dies) — spans tile ``range(dies)`` in order,
+    so plan order is die order at every block size, and a block of 1
+    is one job per die.
 
     The solver's delay model and nominal frequency ride in the job
     options exactly as sweep points key them, so a recalibration
@@ -74,71 +70,42 @@ def montecarlo_jobs(mc: MonteCarloSpec, grid, schemes,
         ("delay_model", solver.delay_model),
         ("nominal_frequency_mhz", solver.nominal_frequency_mhz),
     )
-    if mc.block is not None:
-        spans = [(start, min(mc.block, mc.dies - start))
-                 for start in range(0, mc.dies, mc.block)]
-        return [
-            Job(kind="mc-block", vcc_mv=vcc, scheme=scheme,
-                options=base_options + (("die_start", start),
-                                        ("dies", count)))
-            for vcc in grid
-            for scheme in schemes
-            for start, count in spans
-        ]
+    spans = [(start, min(mc.block, mc.dies - start))
+             for start in range(0, mc.dies, mc.block)]
     return [
-        Job(kind="mc-die", vcc_mv=vcc, scheme=scheme,
-            options=base_options + (("die", die),))
+        Job(kind="mc-block", vcc_mv=vcc, scheme=scheme,
+            options=base_options + (("die_start", start),
+                                    ("dies", count)))
         for vcc in grid
         for scheme in schemes
-        for die in range(mc.dies)
+        for start, count in spans
     ]
-
-
-#: The result fields the reducers read, with their column dtypes.
-_COLUMN_DTYPES = {
-    "functional": bool,
-    "meets_design": bool,
-    "die_frequency_mhz": np.float64,
-    "slowdown": np.float64,
-    "worst_sigma": np.float64,
-    "log_weight": np.float64,
-}
 
 
 class DieColumns:
     """One (Vcc, scheme) group's results, read as die-order columns.
 
-    ``columns[name]`` is one result field (a :class:`DieBlockResult`
-    array name, equally a :class:`DiePointResult` field) over the whole
-    group: block arrays are concatenated as they are, each run of
-    per-die results is stacked into one array first.  Every read
-    gathers a fresh array, so a reducer holds only the columns it is
-    working on (a 100k-die float column is 800 KB), never the group's
-    full set.
+    ``columns[name]`` is one
+    :class:`~repro.montecarlo.sampling.DieBlockResult` array over the
+    whole group, the block arrays concatenated in die order.  Every
+    read gathers a fresh array, so a reducer holds only the columns it
+    is working on (a 100k-die float column is 800 KB), never the
+    group's full set.
     """
 
     def __init__(self, group: list) -> None:
         self._group = group
 
     def __getitem__(self, name: str) -> np.ndarray:
-        dtype = _COLUMN_DTYPES[name]
-        parts = [np.empty(0, dtype)]
-        for is_block, run in groupby(
-                self._group,
-                key=lambda item: isinstance(item, DieBlockResult)):
-            if is_block:
-                parts.extend(getattr(item, name) for item in run)
-            else:
-                parts.append(np.array([getattr(item, name) for item in run],
-                                      dtype=dtype))
-        return np.concatenate(parts)
+        return np.concatenate([getattr(block, name)
+                               for block in self._group])
 
 
 def _grouped(results, grid, schemes, dies: int):
     """Yield ``(vcc, scheme, DieColumns)`` in plan order.
 
-    Items are either per-die results or whole :class:`DieBlockResult`
-    batches; a group is complete once its items cover ``dies`` dies.
+    Items are :class:`~repro.montecarlo.sampling.DieBlockResult`
+    batches; a group is complete once its blocks cover ``dies`` dies.
     Groups are gathered and reduced one at a time, so only one group's
     columns are alive at once, a partially consumed group can never
     shift later (vcc, scheme) labels, and a results sequence that does
@@ -155,8 +122,7 @@ def _grouped(results, grid, schemes, dies: int):
                 if item is None:
                     break
                 group.append(item)
-                covered += item.dies \
-                    if isinstance(item, DieBlockResult) else 1
+                covered += item.dies
             if covered != dies:
                 raise ConfigError(
                     f"montecarlo reduction expected {dies} die results "

@@ -30,7 +30,7 @@ design point.
 
 Trust comes from three locked properties (``tests/test_importance.py``):
 ``shift_sigma = 0`` degenerates bit-identically to the brute-force
-estimator on both the per-die and the vectorized ``mc-block`` paths;
+estimator at every ``mc-block`` size, one die per block included;
 the weights are the exact Gaussian density ratio for arbitrary shifts;
 and in the 3-4 sigma region where both estimators converge their
 confidence intervals must overlap (z-test cross-validation).  ESS
@@ -200,9 +200,9 @@ def deep_tail_rows(results, grid, schemes, dies: int, importance,
     top-bin failure probabilities with delta-method intervals, their
     log10 magnitudes (``None`` where no failure mass was observed),
     and the ESS diagnostics that qualify them.  ``results`` must be
-    the campaign results in plan order; per-die and ``mc-block``
-    shapes reduce identically (both become the same die-order weight
-    column before any sum).
+    the campaign results in plan order; every block size reduces
+    identically (the blocks become one die-order weight column before
+    any sum).
     """
     # Lazy import: campaign imports this module for the ESS warning.
     from repro.montecarlo.campaign import _grouped

@@ -13,8 +13,9 @@ A *die sample* is the statistical identity of one manufactured chip:
 Both are derived from a single per-die RNG stream seeded by
 ``sha256("repro-mc:<seed>:<die>")``, so a die's sample depends only on
 the campaign seed and the die index — never on worker count, execution
-backend, or evaluation order.  That invariant is what lets each
-(die, Vcc, scheme) point run as an independent, cacheable engine job.
+backend, or evaluation order.  That invariant is what lets any
+contiguous die span, down to a single die, run at one (Vcc, scheme)
+point as an independent, cacheable engine job.
 
 Evaluation compares the die against the *design* schedule: the shipped
 part clocks every die at the frequency the design margin
@@ -36,7 +37,6 @@ import math
 import random
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Iterator
 
 import numpy as np
 
@@ -192,37 +192,6 @@ class DieSample:
         return worst + self.offset_mv / sigma_mv
 
 
-@dataclass(frozen=True)
-class DiePointResult:
-    """One die evaluated at one (Vcc, scheme) point of the grid."""
-
-    die: int
-    vcc_mv: float
-    scheme: str
-    #: The die's effective worst-cell sigma (offset folded in).
-    worst_sigma: float
-    #: Frequency the die achieves clocked for its own worst cell.
-    die_frequency_mhz: float
-    #: Frequency the design schedule dictates at this point.
-    design_frequency_mhz: float
-    #: Die phase delay / design phase delay — below 1.0 for the many
-    #: dies whose worst cell beats the design margin, above it for the
-    #: slow tail that drives the yield curves.
-    slowdown: float
-    #: Die is sellable at *some* bin here (slowdown <= max_slowdown).
-    functional: bool
-    #: Die makes the top bin: runs at the design clock (and, for IRAW,
-    #: stabilises within the design's N).
-    meets_design: bool
-    #: Stabilization cycles the design schedule provisions here.
-    design_stabilization: int
-    #: Cycles this die's worst cell needs at the design clock.
-    required_stabilization: int
-    #: The die's importance-sampling log weight (see
-    #: :attr:`DieSample.log_weight`); 0.0 without a proposal shift.
-    log_weight: float = 0.0
-
-
 def die_rng(seed: int, die: int) -> random.Random:
     """The die's private RNG stream, independent of everything else."""
     digest = hashlib.sha256(f"repro-mc:{seed}:{die}".encode("ascii"))
@@ -297,73 +266,23 @@ def sample_die(config: MonteCarloConfig, die: int) -> DieSample:
                      log_weight=log_weight)
 
 
-def evaluate_die_point(config: MonteCarloConfig, die: int, vcc_mv: float,
-                       scheme: ClockScheme,
-                       solver: FrequencySolver | None = None,
-                       ) -> DiePointResult:
-    """Evaluate one sampled die against the design schedule at one point.
-
-    ``solver`` carries the calibrated (typical-margin) delay model and
-    the nominal frequency; the design schedule re-margins it at
-    ``config.design_sigma`` and the die at its own sampled worst cell.
-    """
-    solver = solver or FrequencySolver()
-    variation = VariationModel(solver.delay_model,
-                               vth_mv_per_sigma=config.sigma_mv)
-    sample = sample_die(config, die)
-    effective = sample.effective_sigma(config.sigma_mv)
-
-    design_model = variation.model_at_sigma(config.design_sigma)
-    die_model = variation.model_at_sigma(effective)
-    nominal = solver.nominal_frequency_mhz
-    design_point = FrequencySolver(
-        design_model, nominal_frequency_mhz=nominal,
-    ).operating_point(vcc_mv, scheme)
-    die_solver = FrequencySolver(die_model, nominal_frequency_mhz=nominal)
-    die_point = die_solver.operating_point(vcc_mv, scheme)
-
-    slowdown = die_point.phase_delay / design_point.phase_delay
-    # What this die's worst cell needs when run at the *design* clock:
-    # for IRAW that is its stabilization count, for write-complete
-    # schemes any nonzero value means the write no longer fits.
-    required = die_solver.stabilization_cycles_at(
-        vcc_mv, design_point.phase_delay)
-    meets_design = slowdown <= 1.0 + _PHASE_EPS
-    if scheme is ClockScheme.IRAW:
-        meets_design = meets_design \
-            and required <= design_point.stabilization_cycles
-    functional = slowdown <= config.max_slowdown + _PHASE_EPS
-    return DiePointResult(
-        die=die,
-        vcc_mv=vcc_mv,
-        scheme=scheme.value,
-        worst_sigma=effective,
-        die_frequency_mhz=die_point.frequency_mhz,
-        design_frequency_mhz=design_point.frequency_mhz,
-        slowdown=slowdown,
-        functional=functional,
-        meets_design=meets_design,
-        design_stabilization=design_point.stabilization_cycles,
-        required_stabilization=required,
-        log_weight=sample.log_weight,
-    )
-
-
 # ----------------------------------------------------------------------
 # Vectorized block evaluation (the million-die hot tier)
 # ----------------------------------------------------------------------
 #
-# ``evaluate_block`` is a second, independent implementation of the
-# per-die physics above, folded over a whole contiguous die range as
-# NumPy vectors.  Bit-equality with ``evaluate_die_point`` is a hard
-# contract (the golden suite locks reduced artifacts across both
-# paths), so the kernel only uses float operations that IEEE 754
-# requires to be correctly rounded (+, -, *, /, max, ceil,
-# comparisons) — those are bit-identical elementwise to their scalar
-# counterparts — and keeps the exact evaluation order of the scalar
-# path.  The one transcendental (``softplus``: exp/log1p) goes through
-# the *scalar* libm implementation per element, because ``np.exp`` /
-# ``np.log1p`` may differ from libm in the last ulp.
+# ``evaluate_block`` is the one implementation of die evaluation: the
+# scalar per-die physics (``FrequencySolver.operating_point`` on a
+# die-margined delay model) folded over a contiguous die range as NumPy
+# vectors.  Bit-equality per die with that scalar path is a hard
+# contract (``tests/mc_die_oracle.py`` keeps it as the test oracle, and
+# the golden suite locks reduced artifacts at every block size), so the
+# kernel only uses float operations that IEEE 754 requires to be
+# correctly rounded (+, -, *, /, max, ceil, comparisons) — those are
+# bit-identical elementwise to their scalar counterparts — and keeps
+# the exact evaluation order of the scalar path.  The one
+# transcendental (``softplus``: exp/log1p) goes through the *scalar*
+# libm implementation per element, because ``np.exp`` / ``np.log1p``
+# may differ from libm in the last ulp.
 
 
 @dataclass(frozen=True)
@@ -547,25 +466,6 @@ class DieBlockResult:
     required_stabilization: np.ndarray
     log_weight: np.ndarray
 
-    def die_results(self) -> Iterator[DiePointResult]:
-        """The block unpacked as scalar per-die results (test hook)."""
-        for index in range(self.dies):
-            yield DiePointResult(
-                die=self.die_start + index,
-                vcc_mv=self.vcc_mv,
-                scheme=self.scheme,
-                worst_sigma=float(self.worst_sigma[index]),
-                die_frequency_mhz=float(self.die_frequency_mhz[index]),
-                design_frequency_mhz=self.design_frequency_mhz,
-                slowdown=float(self.slowdown[index]),
-                functional=bool(self.functional[index]),
-                meets_design=bool(self.meets_design[index]),
-                design_stabilization=self.design_stabilization,
-                required_stabilization=int(
-                    self.required_stabilization[index]),
-                log_weight=float(self.log_weight[index]),
-            )
-
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     """Mark a freshly computed kernel array read-only, in place."""
@@ -611,10 +511,11 @@ def evaluate_block(config: MonteCarloConfig, die_start: int, dies: int,
                    ) -> DieBlockResult:
     """Evaluate a contiguous die block at one grid point, vectorized.
 
-    Bit-equal per die to :func:`evaluate_die_point` (see the section
-    comment).  ``sample`` short-circuits sampling with a block already
-    derived from memoized :meth:`DieBlock.build` draws, so executors
-    share one sampled block across the whole (Vcc, scheme) grid.
+    Bit-equal per die to the scalar per-die path (see the section
+    comment); a block of one die is a per-die evaluation.  ``sample``
+    short-circuits sampling with a block already derived from memoized
+    :meth:`DieBlock.build` draws, so executors share one sampled block
+    across the whole (Vcc, scheme) grid.
     """
     solver = solver or FrequencySolver()
     if sample is None:

@@ -5,11 +5,16 @@ sampling campaign: how many dies, which seed, and the variation-model
 knobs.  It splits into two identities:
 
 * :meth:`MonteCarloSpec.config` — the :class:`~repro.montecarlo.sampling.MonteCarloConfig`
-  folded into every per-die job key (seed and physics knobs only);
+  folded into every ``mc-block`` job key (seed and physics knobs only);
 * presentation knobs (``dies``, ``confidence``) that deliberately stay
   *out* of the job key, so growing a campaign from 64 to 256 dies
   reuses all 64 cached dies, and re-rendering at a different confidence
   level simulates nothing.
+
+``block`` sits between the two: it is not physics, but it cuts the die
+range into job keys.  The default 1 plans one job per die, which keeps
+the growth reuse above exact; a larger block trades it for fewer,
+vectorized jobs.
 """
 
 from __future__ import annotations
@@ -33,12 +38,13 @@ class MonteCarloSpec:
     dies: int = 64
     seed: int = 0
     confidence: float = 0.95
-    #: Dies per vectorized ``mc-block`` job; ``None`` keeps the legacy
-    #: one-``mc-die``-job-per-die plan.  The block size partitions the
-    #: die range into job keys, so changing it re-simulates (sampling is
-    #: unaffected: per-die draws depend only on seed and die index, and
-    #: the reduced artifacts are invariant under partitioning).
-    block: int | None = None
+    #: Dies per ``mc-block`` job; the default 1 is one job per die, so
+    #: every die caches on its own and growing ``dies`` simulates only
+    #: the new ones.  The block size partitions the die range into job
+    #: keys, so changing it re-simulates (sampling is unaffected:
+    #: per-die draws depend only on seed and die index, and the reduced
+    #: artifacts are invariant under partitioning).
+    block: int = 1
     sigma_mv: float = VTH_MV_PER_SIGMA
     design_sigma: float = 6.0
     die_sigma_mv: float = DIE_SIGMA_MV
@@ -58,9 +64,9 @@ class MonteCarloSpec:
         if self.dies < 1:
             raise ConfigError(f"montecarlo needs at least one die "
                               f"(got {self.dies})")
-        if self.block is not None and self.block < 1:
-            raise ConfigError(f"montecarlo block must be >= 1 "
-                              f"(got {self.block})")
+        if not isinstance(self.block, int) or self.block < 1:
+            raise ConfigError(f"montecarlo block must be an integer >= 1 "
+                              f"(got {self.block!r})")
         if not 0 < self.confidence < 1:
             raise ConfigError(f"montecarlo confidence must be in (0, 1), "
                               f"got {self.confidence}")
@@ -105,7 +111,7 @@ class MonteCarloSpec:
             "die_sigma_mv": self.die_sigma_mv,
             "max_slowdown": self.max_slowdown,
         }
-        if self.block is not None:
+        if self.block != 1:
             data["block"] = self.block
         if self.arrays:
             data["arrays"] = list(self.arrays)
@@ -127,7 +133,8 @@ class MonteCarloSpec:
             kwargs["dies"] = int(data["dies"])
         if "seed" in data:
             kwargs["seed"] = int(data["seed"])
-        if "block" in data and data["block"] is not None:
+        # ``block = null`` (the old per-die spelling) loads as block 1.
+        if data.get("block") is not None:
             kwargs["block"] = int(data["block"])
         if "confidence" in data:
             kwargs["confidence"] = float(data["confidence"])

@@ -94,6 +94,31 @@ class TestBrokerPrimitives:
                           broker.done_dir, broker.failed_dir):
             assert list(directory.iterdir()) == []
 
+    def test_shard_finishing_mid_poll_is_collected_not_lost(
+            self, tmp_path, monkeypatch):
+        """A worker completing the shard between two of the poll's
+        directory scans must read as done, never as vanished."""
+        broker = SpoolBroker(tmp_path)
+        job = sleep_job("mid-poll")
+        key = job_key(job)
+        broker.submit(key, job)
+        claim = broker.claim_next("w1")
+        scan = SpoolBroker._names
+        scans = []
+
+        def names_then_complete(directory):
+            found = scan(directory)
+            scans.append(directory)
+            if len(scans) == 1:
+                broker.complete(claim, {"note": "mid-poll"})
+            return found
+
+        monkeypatch.setattr(SpoolBroker, "_names",
+                            staticmethod(names_then_complete))
+        (event,) = broker.poll({key})
+        assert isinstance(event, CompletedEvent)
+        assert event.result == {"note": "mid-poll"}
+
     def test_claim_is_exclusive(self, tmp_path):
         broker = SpoolBroker(tmp_path)
         job = sleep_job("solo")

@@ -78,14 +78,25 @@ class TestJobKeys:
         assert [op.pc for op in first[0].ops] \
             == [op.pc for op in second[0].ops]
 
-    def test_population_memo_is_bounded(self):
+    def test_trace_memo_is_bounded(self, monkeypatch):
+        from collections import OrderedDict
+
         from repro.engine import executors
 
-        for length in range(100, 100 + 3 * (executors._POPULATIONS_MAX + 2),
-                            3):
-            executors.population_for(TracePopulationSpec(
-                profiles=(KERNEL_LIKE,), trace_length=length))
-        assert len(executors._POPULATIONS) <= executors._POPULATIONS_MAX
+        monkeypatch.setattr(executors, "_TRACES", OrderedDict())
+        for length in range(100, 100 + 3 * (executors._TRACES_MAX + 2), 3):
+            executors.trace_for(TraceSpec.synthetic(KERNEL_LIKE,
+                                                    length=length))
+        assert len(executors._TRACES) == executors._TRACES_MAX
+
+    def test_sweep_traces_are_the_population_in_order(self):
+        settings = SweepSettings(profiles=(KERNEL_LIKE, SPECINT_LIKE),
+                                 seeds_per_profile=2, trace_length=300)
+        traces = VccSweep(settings).traces
+        built = settings.population().build()
+        assert [t.name for t in traces] == [t.name for t in built]
+        assert [op.pc for op in traces[-1].ops] \
+            == [op.pc for op in built[-1].ops]
 
 
 class TestResultCache:

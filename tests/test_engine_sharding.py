@@ -15,12 +15,15 @@ Three properties guard the sharding refactor:
 import concurrent.futures
 import os
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.metrics import PointResult
 from repro.analysis.sweep import SweepSettings, VccSweep
-from repro.circuits.frequency import ClockScheme
+from repro.circuits.frequency import ClockScheme, FrequencySolver
+from repro.core.config import IrawConfig
 from repro.engine import (
     EngineError,
     Job,
@@ -32,7 +35,8 @@ from repro.engine import (
     job_key,
     shard_jobs,
 )
-from repro.engine.executors import execute_job
+from repro.engine.executors import execute_job, warm_caches
+from repro.pipeline.core import CoreSetup, InOrderCore
 from repro.workloads.profiles import (
     KERNEL_LIKE,
     OFFICE_LIKE,
@@ -54,6 +58,32 @@ def population_job(vcc_mv: float = 500.0,
                                    seeds_per_profile=population.seeds_per_profile,
                                    trace_length=population.trace_length))
     return sweep.job_for(vcc_mv, scheme)
+
+
+def whole_population_result(job: Job) -> PointResult:
+    """A sweep-point population job run as one inline loop: every
+    trace of the population, in population order, through a fresh
+    warmed core — the reference the sharded aggregation reproduces."""
+    solver = FrequencySolver(
+        job.option("delay_model"),
+        nominal_frequency_mhz=job.option("nominal_frequency_mhz"))
+    scheme = ClockScheme(job.scheme)
+    point = solver.operating_point(job.vcc_mv, scheme)
+    iraw = IrawConfig.for_operating_point(point) \
+        if scheme is ClockScheme.IRAW else IrawConfig.disabled()
+    setup = CoreSetup(iraw=iraw, params=job.option("params"),
+                      name=f"{scheme.value}@{job.vcc_mv:g}mV",
+                      check_values=False)
+    memory = replace(job.option("memory"),
+                     dram_latency_cycles=point.memory_latency_cycles(
+                         job.option("dram_latency_ns")))
+    results = []
+    for trace in job.population.build():
+        core = InOrderCore(replace(setup, memory=memory))
+        warm_caches(core.memory, trace)
+        results.append(core.run(trace))
+    return PointResult(vcc_mv=job.vcc_mv, scheme=scheme.value, point=point,
+                       results=tuple(results), extras=())
 
 
 def _shard_keys(job: Job) -> list[str]:
@@ -125,7 +155,7 @@ class TestAggregation:
         keys = [job_key(s) for s in shards]
         results = {key: execute_job(shard)
                    for key, shard in zip(keys, shards)}
-        reference = execute_job(job)  # legacy whole-population path
+        reference = whole_population_result(job)
         return job, keys, results, reference
 
     @settings(max_examples=30, deadline=None)
@@ -159,6 +189,13 @@ class TestAggregation:
 
         with pytest.raises(ConfigError, match="no shard results"):
             aggregate_shard_results(population_job(), [])
+
+    def test_unsharded_population_job_is_refused(self):
+        """Executors run shards only; the runner splits populations."""
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="shard_jobs"):
+            execute_job(population_job())
 
 
 #: Many-trace/one-point shape (six profiles) for cache-reuse checks.

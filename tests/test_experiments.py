@@ -19,8 +19,7 @@ from repro.experiments import (
     ResultSet,
     run_spec,
 )
-from repro.experiments.specio import dumps_toml, loads_toml, \
-    parse_toml_subset
+from repro.experiments.specio import dumps_toml, loads_toml
 
 pytestmark = pytest.mark.engine
 
@@ -227,33 +226,24 @@ class TestSpecSerialization:
 
 
 class TestTomlSubsetParser:
-    """The 3.10 fallback parser, exercised on every interpreter."""
+    """Spec TOML: stdlib ``tomllib`` reads it, ``dumps_toml`` writes it."""
 
     def test_matches_stdlib_on_spec_files(self):
-        tomllib = pytest.importorskip("tomllib")
+        """What ``dumps_toml`` writes for a spec, ``tomllib`` reads back
+        as the spec's own dict."""
         for spec in (SMALL_SPEC,
                      small_dvfs_spec(
                          ablations=(AblationSpec(
                              name="no-rf",
                              overrides={"rf_enabled": False}),))):
-            text = spec.to_toml()
-            assert parse_toml_subset(text) == tomllib.loads(text)
-
-    def test_fallback_engages_without_tomllib(self, monkeypatch):
-        """The 3.10 path: no stdlib tomllib, full spec still loads."""
-        from repro.experiments import specio
-
-        monkeypatch.setattr(specio, "_tomllib", None)
-        spec = small_dvfs_spec()
-        assert ExperimentSpec.from_toml(spec.to_toml()) == spec
+            assert loads_toml(spec.to_toml()) == json.loads(spec.to_json())
 
     def test_stdlib_parse_error_becomes_config_error(self):
-        pytest.importorskip("tomllib")
         with pytest.raises(ConfigError, match="invalid TOML"):
             ExperimentSpec.from_toml("= broken")
 
     def test_scalars_arrays_and_comments(self):
-        data = parse_toml_subset(
+        data = loads_toml(
             '# header comment\n'
             'name = "x # not a comment"  # trailing\n'
             'count = 3\n'
@@ -275,7 +265,7 @@ class TestTomlSubsetParser:
         assert data["empty"] == []
 
     def test_nested_tables_and_table_arrays(self):
-        data = parse_toml_subset(
+        data = loads_toml(
             '[a]\nx = 1\n'
             '[a.b]\ny = 2\n'
             '[[items]]\nname = "first"\n'
@@ -291,17 +281,19 @@ class TestTomlSubsetParser:
 
     @pytest.mark.parametrize("text", [
         "key",                       # no '='
-        "a.b = 1",                   # dotted keys unsupported
+        "a.b = 1",                   # valid TOML, unknown spec key
         "x = ",                      # missing value
         'x = "unterminated',
         "x = [1, 2",
-        "x = 2026-07-31",            # dates outside the subset
+        "x = 2026-07-31",            # valid TOML, unknown spec key
         "[table",                    # malformed header
         "x = 1\nx = 2",              # duplicate key
     ])
     def test_rejects_out_of_subset(self, text):
+        """Invalid TOML and TOML outside the spec schema both fail
+        the spec boundary with a clean ConfigError."""
         with pytest.raises(ConfigError):
-            parse_toml_subset(text)
+            ExperimentSpec.from_toml(text)
 
     def test_emitter_round_trips_plain_data(self):
         data = {"name": 'quote " and \\ slash', "n": 3, "f": 0.25,
@@ -309,7 +301,6 @@ class TestTomlSubsetParser:
                 "table": {"x": 1, "nested": {"y": 2.0}},
                 "rows": [{"a": 1}, {"a": 2, "sub": {"b": 3}}]}
         assert loads_toml(dumps_toml(data)) == data
-        assert parse_toml_subset(dumps_toml(data)) == data
 
     def test_emitter_rejects_unrepresentable(self):
         with pytest.raises(ConfigError, match="cannot emit"):
@@ -673,9 +664,8 @@ class TestStallsArtifact:
                            montecarlo=MonteCarloSpec(dies=1))
 
     def test_subset_parser_handles_new_sections(self):
-        """The 3.10 fallback TOML parser agrees with tomllib on specs
-        using [population.custom.*], [montecarlo] and [stalls]."""
-        from repro.experiments.specio import loads_toml, parse_toml_subset
+        """Specs using [population.custom.*], [montecarlo] and [stalls]
+        round-trip through dumps_toml and tomllib."""
         from repro.montecarlo import MonteCarloSpec
         from repro.workloads.profiles import TraceProfile
 
@@ -688,8 +678,8 @@ class TestStallsArtifact:
             montecarlo=MonteCarloSpec(dies=4, arrays=("RF", "DL0")),
             artifacts=("yield_curve",))
         text = spec.to_toml()
-        assert parse_toml_subset(text) == loads_toml(text)
-        assert ExperimentSpec.from_dict(parse_toml_subset(text)) == spec
+        assert loads_toml(text) == json.loads(spec.to_json())
+        assert ExperimentSpec.from_dict(loads_toml(text)) == spec
 
     def test_unsafe_custom_profile_names_rejected(self):
         """Names become TOML table headers; a space or dot must fail

@@ -7,8 +7,9 @@ locked independently:
   likelihood ratio of the nominal die-offset density against the
   mean-shifted proposal, for arbitrary shifts (hypothesis property);
 * **shift-zero degeneracy** — ``shift_sigma = 0`` is bit-identical to
-  plain Monte-Carlo on both the scalar per-die and the vectorized
-  ``mc-block`` paths, down to the weighted reducer columns;
+  plain Monte-Carlo on one-die and many-die ``mc-block`` jobs (and on
+  the scalar oracle of ``tests/mc_die_oracle.py``), down to the
+  weighted reducer columns;
 * **cross-validation** — in the 3-4 sigma region where brute force
   still converges, the shifted estimator must agree with it (overlapping
   confidence intervals and a two-estimator z-test);
@@ -26,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mc_die_oracle import evaluate_die_point
 
 from repro.circuits.frequency import ClockScheme
 from repro.engine.jobs import job_key
@@ -44,7 +46,6 @@ from repro.montecarlo.sampling import (
     DieBlock,
     MonteCarloConfig,
     evaluate_block,
-    evaluate_die_point,
     sample_die,
 )
 from repro.montecarlo.stats import (
@@ -148,18 +149,14 @@ class TestShiftZeroDegeneracy:
     def test_weighted_columns_degenerate_bitwise(self, block):
         """At shift 0 every weight is exactly 1.0, so the weighted
         yield-curve columns equal the unweighted ones bit for bit —
-        on the per-die path and the vectorized block path alike."""
-        mc = MonteCarloSpec(dies=48, seed=0, block=block,
+        on the per-die plan (``None``: one-die blocks, the spec
+        default) and a 16-die block plan alike."""
+        mc = MonteCarloSpec(dies=48, seed=0, block=block or 1,
                             importance=ImportanceSpec(shift_sigma=0.0))
         config = mc.config()
         grid, schemes = (XVAL_VCC,), ("iraw",)
-        if block is None:
-            results = [evaluate_die_point(config, die, XVAL_VCC,
-                                          ClockScheme.IRAW)
-                       for die in range(mc.dies)]
-        else:
-            results = block_results(config, mc.dies, XVAL_VCC,
-                                    ClockScheme.IRAW, block=block)
+        results = block_results(config, mc.dies, XVAL_VCC,
+                                ClockScheme.IRAW, block=mc.block)
         [row] = yield_curve_rows(results, grid, schemes, mc.dies,
                                  mc.confidence, importance=mc.importance)
         assert row["weighted_functional_yield"] == row["functional_yield"]

@@ -1,9 +1,11 @@
 """Tests for the vectorized ``mc-block`` Monte-Carlo tier.
 
-Locks the tentpole contracts of the blocked path: the NumPy block
-kernel is **bit-equal** per die to the scalar ``mc-die`` path, block
-partitioning is invariant (any block size reduces to the same rows —
-the hypothesis property), blocks ride the engine as ordinary cacheable
+Every Monte-Carlo campaign runs as ``mc-block`` jobs; a per-die
+campaign is blocks of one die.  Locks the contracts of that path: the
+NumPy block kernel is **bit-equal** per die to the scalar oracle
+(``tests/mc_die_oracle.py``) at every block size, block partitioning
+is invariant (any block size reduces to the same rows — the
+hypothesis properties), blocks ride the engine as ordinary cacheable
 jobs through every backend, and the dispatch tier underneath (pool
 chunks, broker batch claims with hardlinked heartbeats, the worker
 supervisor) preserves results while amortizing per-job overhead.
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mc_die_oracle import die_results, evaluate_die_point, unpacked
 from mc_reduce_oracle import StreamingStats
 
 from repro.circuits.frequency import ClockScheme
@@ -41,7 +44,6 @@ from repro.montecarlo import (
     ImportanceSpec,
     MonteCarloConfig,
     MonteCarloSpec,
-    evaluate_die_point,
     moments,
     montecarlo_jobs,
     sample_die,
@@ -105,7 +107,7 @@ class TestBlockKernel:
             result = evaluate_block(config, 0, 12, vcc, scheme)
             scalar = [evaluate_die_point(config, die, vcc, scheme)
                       for die in range(12)]
-            assert list(result.die_results()) == scalar
+            assert list(die_results(result)) == scalar
 
     def test_block_arrays_are_read_only(self):
         config = MonteCarloConfig(seed=0)
@@ -339,24 +341,60 @@ class TestBlockPartitionInvariance:
         reduced yield_curve / vccmin_dist rows as the per-die plan —
         the block is an evaluation batch, never a sampling contract."""
         block = data.draw(st.integers(1, dies), label="block")
-        reference = campaign_rows(dies, None, seed=5)
+        reference = campaign_rows(dies, 1, seed=5)
         assert campaign_rows(dies, block, seed=5) == reference
 
     def test_named_block_sizes_match_per_die(self):
         """The spec-level anchors: 1, 7, 64 (= dies) on a 64-die
         campaign, plus per-die sample equality block by block."""
-        reference = campaign_rows(64, None)
+        reference = campaign_rows(64, 1)
         for block in (1, 7, 64):
             assert campaign_rows(64, block) == reference
         mc = MonteCarloSpec(dies=64, seed=2, block=7)
         blocked = [execute_job(job)
                    for job in montecarlo_jobs(mc, (500.0,), ("iraw",))]
-        unpacked = [die for result in blocked
-                    for die in result.die_results()]
-        scalar = [execute_job(job)
-                  for job in montecarlo_jobs(MonteCarloSpec(dies=64, seed=2),
-                                             (500.0,), ("iraw",))]
-        assert unpacked == scalar
+        per_die = [execute_job(job)
+                   for job in montecarlo_jobs(MonteCarloSpec(dies=64, seed=2),
+                                              (500.0,), ("iraw",))]
+        scalar = [evaluate_die_point(mc.config(), die, 500.0,
+                                     ClockScheme.IRAW)
+                  for die in range(64)]
+        assert unpacked(blocked) == unpacked(per_die) == scalar
+
+
+# ----------------------------------------------------------------------
+# One job kind: one-die blocks, k-die blocks and the scalar oracle
+# ----------------------------------------------------------------------
+
+class TestPerDieOracle:
+    @given(dies=st.integers(1, 300), seed=st.integers(0, 2**32),
+           shift=st.sampled_from([0.0, 2.0]),
+           arrays=st.sampled_from([(), ("RF", "RSB")]),
+           vcc=st.sampled_from([600.0, 500.0, 420.0]),
+           scheme=st.sampled_from(list(ClockScheme)), data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_block_one_block_k_and_the_oracle_agree_per_die(
+            self, dies, seed, shift, arrays, vcc, scheme, data):
+        """Property: a per-die campaign (block 1, the default) and any
+        k-die block plan evaluate every die to the scalar oracle's
+        result, every field bit for bit.  The RF + RSB subset puts
+        many dies' max p below the monotone edge, so the per-array
+        sampling fallback is exercised too."""
+        block = data.draw(st.integers(2, max(2, dies)), label="block")
+        importance = ImportanceSpec(shift_sigma=shift) if shift else None
+
+        def executed(block):
+            mc = MonteCarloSpec(dies=dies, seed=seed, block=block,
+                                arrays=arrays, importance=importance)
+            jobs = montecarlo_jobs(mc, (vcc,), (scheme.value,))
+            return mc.config(), [execute_job(job) for job in jobs]
+
+        config, per_die = executed(1)
+        _, blocked = executed(block)
+        assert len(per_die) == dies
+        scalar = [evaluate_die_point(config, die, vcc, scheme)
+                  for die in range(dies)]
+        assert unpacked(per_die) == unpacked(blocked) == scalar
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +415,7 @@ class TestBlockBackends:
                                  claim_batch=4, lease_timeout=60.0,
                                  poll_interval=0.01)))
         assert serial == pool == queue
-        assert serial == campaign_rows(self.DIES, None)  # per-die path
+        assert serial == campaign_rows(self.DIES, 1)  # one job per die
 
     def test_warm_cache_rerun_simulates_nothing(self, tmp_path):
         cold = ParallelRunner(workers=1,

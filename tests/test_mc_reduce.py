@@ -4,8 +4,9 @@
 before they became array-at-a-time: every die folded one value at a
 time through Welford accumulators, with separate branches for blocks
 and per-die results.  Both reduce the same random campaigns here —
-1 to 3000 dies, blocks mixed with per-die results, proposal shifts 0,
-1 and 2, injected zero weights — under the reduction contract in
+1 to 3000 dies, long blocks mixed with runs of one-die blocks (the
+per-die plan), proposal shifts 0, 1 and 2, injected zero weights —
+under the reduction contract in
 :mod:`repro.montecarlo.stats`:
 
 * counts, yields, unweighted Wilson bounds, min/max, every
@@ -112,7 +113,8 @@ def make_campaign(seed: int, dies: int, grid, shift: float,
 
 def partition(groups: dict, grid, cuts_seed: int, style: str) -> list:
     """The campaign as plan-order results: every group cut into blocks
-    and per-die runs (``style``: one block, all per-die, or mixed)."""
+    and runs of one-die blocks (``style``: one block, all one-die
+    blocks, or mixed)."""
     rng = np.random.default_rng(cuts_seed)
     results = []
     for vcc in grid:
@@ -129,11 +131,12 @@ def partition(groups: dict, grid, cuts_seed: int, style: str) -> list:
                     if dies > 1 else []
                 cuts = sorted({0, dies, *map(int, inner)})
             for start, stop in zip(cuts, cuts[1:]):
-                block = _block(columns, start, stop, vcc, scheme)
                 if style == "per-die" or rng.random() < 0.5:
-                    results.extend(block.die_results())
+                    results.extend(_block(columns, die, die + 1, vcc, scheme)
+                                   for die in range(start, stop))
                 else:
-                    results.append(block)
+                    results.append(_block(columns, start, stop, vcc,
+                                          scheme))
     return results
 
 
@@ -271,7 +274,7 @@ class TestRealCampaigns:
     def test_sampled_campaign_matches_the_oracle(self, shift, block):
         grid = (550.0, 450.0)
         dies = 64 if block is None else 1000
-        mc = MonteCarloSpec(dies=dies, seed=3, block=block,
+        mc = MonteCarloSpec(dies=dies, seed=3, block=block or 1,
                             importance=ImportanceSpec(shift_sigma=shift,
                                                       ess_warn=0.0))
         results = [execute_job(job)

@@ -2,8 +2,8 @@
 
 Covers the sampling primitives (seeded, order-independent die RNG
 streams; exact max-of-N inverse-CDF sampling), the streaming statistics,
-the spec/TOML surface, the engine integration (an ``mc-die`` job is an
-ordinary cacheable unit), and the headline acceptance property: a
+the spec/TOML surface, the engine integration (a one-die ``mc-block``
+job is an ordinary cacheable unit), and the headline acceptance property: a
 64-die ``yield_curve`` campaign reproduces **bit-identically** through
 the serial, pool and queue backends, and a warm-cache rerun simulates
 nothing.
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mc_die_oracle import evaluate_die_point, unpacked
 
 from repro.circuits.frequency import ClockScheme
 from repro.engine import (
@@ -31,7 +32,6 @@ from repro.montecarlo import (
     DiscreteDistribution,
     MonteCarloConfig,
     MonteCarloSpec,
-    evaluate_die_point,
     moments,
     montecarlo_jobs,
     per_die_rows,
@@ -146,11 +146,18 @@ class TestDieEvaluation:
             >= result.design_stabilization >= 1
 
     def test_result_is_plain_picklable_data(self):
+        """A one-die block result (the per-die plan's unit) survives the
+        pickle round trip every backend and the disk cache put it
+        through, field for field."""
         import pickle
 
-        result = evaluate_die_point(MonteCarloConfig(), 1, 500.0,
-                                    ClockScheme.IRAW)
-        assert pickle.loads(pickle.dumps(result)) == result
+        from repro.engine.executors import execute_job
+
+        [job] = montecarlo_jobs(MonteCarloSpec(dies=1, seed=1), (500.0,),
+                                ("iraw",))
+        result = execute_job(job)
+        assert unpacked([pickle.loads(pickle.dumps(result))]) \
+            == unpacked([result])
 
 
 # ----------------------------------------------------------------------
@@ -270,6 +277,20 @@ class TestMonteCarloSpec:
                               design_sigma=5.0, arrays=("RF",))
         assert MonteCarloSpec.from_dict(spec.to_dict()) == spec
 
+    def test_block_defaults_to_one_die_per_job(self):
+        """Block 1 is the default and the per-die plan; ``block = null``
+        (the spelling of the per-die plan before it was block 1) still
+        loads, as block 1, and an omitted block stays omitted."""
+        assert MonteCarloSpec().block == 1
+        assert MonteCarloSpec.from_dict({"block": None}) == MonteCarloSpec()
+        assert MonteCarloSpec.from_dict({"block": 1}) == MonteCarloSpec()
+        assert "block" not in MonteCarloSpec().to_dict()
+        blocked = MonteCarloSpec(block=8)
+        assert MonteCarloSpec.from_dict(blocked.to_dict()) == blocked
+        for bad in (0, None, 2.5):
+            with pytest.raises(ConfigError, match="block"):
+                MonteCarloSpec(block=bad)
+
     def test_presentation_knobs_stay_out_of_the_job_key(self):
         base = MonteCarloSpec(dies=16, confidence=0.95)
         grown = MonteCarloSpec(dies=64, confidence=0.5)
@@ -346,14 +367,19 @@ class TestEngineIntegration:
         warm = ParallelRunner(cache=ResultCache(root=tmp_path))
         again = warm.run(jobs)
         assert warm.stats.simulated == 0
-        assert again == first[:len(jobs)]
+        assert unpacked(again) == unpacked(first[:len(jobs)])
 
     def test_executor_validates_options(self):
-        job = Job(kind="mc-die", vcc_mv=500.0, scheme="iraw")
+        """The per-die ``mc-die`` kind is gone (a per-die campaign is
+        one-die ``mc-block`` jobs): a stale job of that kind is refused
+        at construction, and a die block without its span at execution."""
         from repro.engine.executors import execute_job
 
-        with pytest.raises(ConfigError, match="mc-die job needs"):
-            execute_job(job)
+        with pytest.raises(ConfigError, match="unknown job kind"):
+            Job(kind="mc-die", vcc_mv=500.0, scheme="iraw")
+        with pytest.raises(ConfigError, match="mc-block job needs"):
+            execute_job(Job(kind="mc-block", vcc_mv=500.0, scheme="iraw",
+                            options=(("mc", MonteCarloConfig()),)))
 
 
 class TestBackendEquivalence:
@@ -403,7 +429,7 @@ class TestBackendEquivalence:
         jobs = montecarlo_jobs(mc, (500.0,), ("iraw",))
         serial = ParallelRunner(workers=1).run(jobs)
         parallel = ParallelRunner(workers=workers).run(jobs)
-        assert serial == parallel
+        assert unpacked(serial) == unpacked(parallel)
 
 
 # ----------------------------------------------------------------------
@@ -487,7 +513,7 @@ class TestExperimentIntegration:
             artifacts=("overheads",))
         experiment = Experiment(spec)
         kinds = {job.kind for job in experiment.plan()}
-        assert "mc-die" in kinds
+        assert "mc-block" in kinds
         results = experiment.run()
         assert len(results.filter(kind="mc-yield")) == 2
 
